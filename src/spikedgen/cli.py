@@ -16,6 +16,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -74,13 +76,13 @@ class ExperimentConfig:
     alpha: float = 2.0
     beta: float = 1.0
     delta: float | None = None
-    delta_grid: list = field(default_factory=list)
-    alpha_grid: list = field(default_factory=list)
+    delta_grid: list[float] = field(default_factory=list)
+    alpha_grid: list[float] = field(default_factory=list)
     p: int | None = None
     k: int | None = None
     seed: int = 0
     seeds: int = 1
-    methods: list = field(default_factory=lambda: ["se"])
+    methods: list[str] = field(default_factory=lambda: ["se"])
     out: str | None = None
     workers: int = 1
     se_tol: float = 1e-10
@@ -103,7 +105,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"methods: unknown method {m!r}")
-        if self.delta is not None and self.delta <= 0:
+        if self.delta is not None and not self.delta > 0:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
             raise UsageError("alpha: must be nonnegative")
@@ -162,24 +164,29 @@ def load_config_file(path) -> dict:
     return out
 
 
-_LIST_KEYS = {"delta_grid", "alpha_grid", "methods"}
-_INT_KEYS = {"p", "k", "seed", "seeds", "workers", "se_max_iter", "amp_max_iter"}
-_FLOAT_KEYS = {"rho_z", "rho_u", "alpha", "beta", "delta", "se_tol", "se_damping",
-               "amp_tol", "amp_damping", "init_sigma2", "eig_tol"}
+# field name -> annotated type, with `X | None` reduced to X
+_FIELD_TYPES = {name: typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+                for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+
+def _parse_value(kind, text: str):
+    if typing.get_origin(kind) is list:
+        return text.split(",") if typing.get_args(kind) == (str,) else parse_grid(text)
+    return kind(text)
 
 
 def apply_settings(cfg: ExperimentConfig, settings: dict) -> ExperimentConfig:
+    """Set fields from key=value settings, converting strings to the field's type."""
     for key, val in settings.items():
         if val is None:
             continue
-        if not hasattr(cfg, key):
+        if key not in _FIELD_TYPES:
             raise UsageError(f"unknown config key {key!r}")
-        if key in _LIST_KEYS and isinstance(val, str):
-            val = parse_grid(val) if key != "methods" else val.split(",")
-        elif key in _INT_KEYS and isinstance(val, str):
-            val = int(val)
-        elif key in _FLOAT_KEYS and isinstance(val, str):
-            val = float(val)
+        if isinstance(val, str):
+            try:
+                val = _parse_value(_FIELD_TYPES[key], val)
+            except ValueError as exc:
+                raise UsageError(f"{key}: cannot read {val!r} ({exc})") from None
         setattr(cfg, key, val)
     return cfg
 
@@ -220,6 +227,11 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     record = {"config": asdict(cfg), "build": __version__, "seed": seed,
               "metrics": {}}
     act, latent = cfg.act(), cfg.latent_prior()
+    if "lamp" in cfg.methods and not act.zero_mean_output:
+        raise UsageError(f"lamp: activation {cfg.activation!r} has no uninformative "
+                         "fixed point to linearize around")
+    if not cfg.alpha > 0 and {"mi", "rmt"} & set(cfg.methods):
+        raise UsageError("alpha: mi and rmt need alpha > 0")
     needs_instance = any(m in cfg.methods for m in ("amp", "lamp", "pca"))
     gm = inst = None
     if needs_instance:
@@ -466,6 +478,10 @@ def _cmd_rmt(args):
     deltas = cfg.delta_grid or ([cfg.delta] if cfg.delta is not None else [])
     if not deltas:
         raise UsageError("delta/delta_grid: required")
+    if not all(d > 0 for d in deltas):
+        raise UsageError("delta/delta_grid: values must be positive")
+    if not cfg.alpha > 0:
+        raise UsageError("alpha: rmt needs alpha > 0")
     model = cfg.model_kind()
     edge_rows = []
     for d in deltas:
@@ -507,8 +523,15 @@ def _cmd_rmt(args):
 
 
 def _cmd_cov_lamp(args):
-    spikes = load_any_matrix(args.spikes)
-    Y = load_any_matrix(args.observation)
+    if not (math.isfinite(args.delta) and args.delta > 0):
+        raise UsageError("delta: must be positive and finite")
+    try:
+        spikes = load_any_matrix(args.spikes)
+        Y = load_any_matrix(args.observation)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load input: {exc}") from None
+    if not (np.isfinite(spikes).all() and np.isfinite(Y).all()):
+        raise UsageError("spikes/observation: non-finite entries")
     if Y.shape[0] != Y.shape[1]:
         raise UsageError("observation: covariance-LAMP expects a square (Wigner) Y")
     if spikes.shape[1] != Y.shape[0]:

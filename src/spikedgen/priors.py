@@ -48,15 +48,6 @@ class SeparablePrior:
         if self.kind == "rademacher" and abs(self.rho - 1.0) > 1e-12:
             raise ValueError("rademacher prior has E[z^2] = 1")
 
-    @property
-    def second_moment(self) -> float:
-        return self.rho
-
-    @property
-    def third_moment(self) -> float:
-        # both supported priors are symmetric
-        return 0.0
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "gauss":
             return math.sqrt(self.rho) * rng.standard_normal(n)
@@ -125,21 +116,20 @@ def rho_v(act: Activation, latent: SeparablePrior) -> float:
 def null_channel_moments(act: Activation, latent: SeparablePrior) -> dict:
     """Moments of (v, x) under the null measure x ~ N(0, rho_z), v = phi(x).
 
-    Returns E[v], E[v^2], E[vx], E[vx^2], E[x^2]; these feed the stability
-    Jacobian and the LAMP coefficients.
+    Returns E[v], E[v^2], E[vx], E[x^2]; these feed the stability Jacobian and
+    the LAMP coefficients.
     """
     rz = latent.rho
     if act.kind == "linear":
-        return {"v": 0.0, "vv": rz, "vx": rz, "vxx": 0.0, "xx": rz}
+        return {"v": 0.0, "vv": rz, "vx": rz, "xx": rz}
     if act.kind == "sign":
-        # E|x| = sqrt(2 rho_z / pi); sgn(x) x^2 integrates to zero by symmetry
-        return {"v": 0.0, "vv": 1.0, "vx": math.sqrt(2.0 * rz / math.pi),
-                "vxx": 0.0, "xx": rz}
+        # E|x| = sqrt(2 rho_z / pi)
+        return {"v": 0.0, "vv": 1.0, "vx": math.sqrt(2.0 * rz / math.pi), "xx": rz}
     # ReLU: all v-moments live on x > 0; Gauss-Legendre panels on [0, 12 sigma]
     # avoid the kink (plain Gauss-Hermite only nails the even moments there)
     s = math.sqrt(rz)
     t, w = np.polynomial.legendre.leggauss(64)
-    moments = {"v": 0.0, "vv": 0.0, "vx": 0.0, "vxx": 0.0}
+    moments = {"v": 0.0, "vv": 0.0, "vx": 0.0}
     for lo, hi in ((0.0, 2.0 * s), (2.0 * s, 12.0 * s)):
         x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
         ww = 0.5 * (hi - lo) * w * np.exp(-0.5 * x * x / rz) / math.sqrt(2 * math.pi * rz)
@@ -147,7 +137,6 @@ def null_channel_moments(act: Activation, latent: SeparablePrior) -> dict:
         moments["v"] += float(np.sum(ww * v))
         moments["vv"] += float(np.sum(ww * v * v))
         moments["vx"] += float(np.sum(ww * v * x))
-        moments["vxx"] += float(np.sum(ww * v * x * x))
     moments["xx"] = rz
     return moments
 

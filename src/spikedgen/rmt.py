@@ -96,20 +96,20 @@ class BaseLaw:
         return val
 
     def _integrate_once(self, f, order):
+        t, weight = self.nodes(order)
+        return np.sum(np.asarray(f(t)) * weight, axis=-1)
+
+    def nodes(self, order: int):
+        """Nodes t and weights of the continuous part: Int f rho = sum f(t) weight."""
         theta, w = _gauss_legendre_0_pi(order)
         t = self.center + self.radius * np.cos(theta)
         if self.kind == "semicircle":
-            weight = (2.0 / math.pi) * np.sin(theta) ** 2
-        else:
-            b, d = self.beta, self.delta
-            scale = (1.0 + d) / b
-            x = scale * t + (1.0 + d) / d
-            c1 = scale * self.radius      # MP half-width in X coordinates
-            mass = min(1.0, b)            # continuous mass of MP(beta)
-            weight = (b / (2 * math.pi)) * c1 ** 2 * np.sin(theta) ** 2 / x / mass
-            weight = weight * mass        # keep continuous mass explicit
-        vals = np.asarray(f(t))
-        return np.sum(vals * weight * w, axis=-1)
+            return t, (2.0 / math.pi) * np.sin(theta) ** 2 * w
+        b, d = self.beta, self.delta
+        scale = (1.0 + d) / b
+        x = scale * t + (1.0 + d) / d
+        c1 = scale * self.radius      # MP half-width in X coordinates
+        return t, (b / (2 * math.pi)) * c1 ** 2 * np.sin(theta) ** 2 / x * w
 
 
 _GL_CACHE: dict = {}
@@ -252,16 +252,7 @@ def bulk_density(base: BaseLaw, alpha: float, x_grid, epsilon: float = 1e-6,
     g = np.full(x.shape, 1j, dtype=complex)
     active = np.ones(x.shape, dtype=bool)
     iters = np.zeros(x.shape, dtype=int)
-    theta, w = _gauss_legendre_0_pi(order)
-    t = base.center + base.radius * np.cos(theta)
-    if base.kind == "semicircle":
-        weight = (2.0 / math.pi) * np.sin(theta) ** 2 * w
-    else:
-        b, d = base.beta, base.delta
-        scale = (1.0 + d) / b
-        xx = scale * t + (1.0 + d) / d
-        c1 = scale * base.radius
-        weight = (b / (2 * math.pi)) * c1 ** 2 * np.sin(theta) ** 2 / xx * w
+    t, weight = base.nodes(order)
 
     def i1(gv):
         out = np.sum(t * weight / (1.0 + np.multiply.outer(gv, t)), axis=-1)

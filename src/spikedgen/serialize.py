@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
 _MAGIC = b"SPKD"
 _VERSION = 1
+_HEADER = struct.Struct("<IQQ")   # version, rows, cols
 
 
 def save_matrix(path, arr: np.ndarray) -> None:
@@ -19,21 +21,26 @@ def save_matrix(path, arr: np.ndarray) -> None:
         raise ValueError("only 1-D or 2-D arrays are supported")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQ", _VERSION, a.shape[0], a.shape[1]))
+        fh.write(_HEADER.pack(_VERSION, a.shape[0], a.shape[1]))
         fh.write(a.tobytes(order="C"))
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a binary container; the header's size is checked against the file first."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a matrix container (magic {magic!r})")
-        version, rows, cols = struct.unpack("<IQQ", fh.read(struct.calcsize("<IQQ")))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated matrix container header")
+        version, rows, cols = _HEADER.unpack(header)
         if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
+        if rows * cols * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError(f"truncated matrix container ({rows} x {cols} "
+                             "float64 does not fit the file)")
         data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-    if data.size != rows * cols:
-        raise ValueError("truncated matrix container")
     return data.reshape(rows, cols).copy()
 
 

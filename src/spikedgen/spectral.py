@@ -3,20 +3,22 @@
 The LAMP operator preconditions the (shifted) observation with the covariance
 structure of the generative prior:
 
-    Gamma = (1/Delta) * [ (a-b) I + b W W^T/k + c 1_p 1_k^T W^T / k^{3/2} ] * M
+    Gamma = (1/Delta) * [ (a-b) I + b W W^T/k ] * M
 
 with M = Y/sqrt(p) - a I (Wigner) or M = Y^T Y / (p (a + Delta/d)) - d beta I
-(Wishart).  When c = 0 and a >= b the preconditioner is PSD, K = F F^T, and
-Gamma shares its nonzero spectrum with the symmetric F^T M F / Delta whose
-eigenvectors map back through F; that path runs Lanczos.  Otherwise a real
-power iteration with deflation on the non-normal operator is used, ordering
-by real part and aborting on a complex leading pair.
+(Wishart).  The paper's third preconditioner term is proportional to the third
+moment of P_z, which vanishes for both shipped (symmetric) priors, and
+a >= b >= 0 holds by Cauchy-Schwarz, so the preconditioner is PSD: K = F F^T.
+Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
+whose eigenvectors map back through F, and Lanczos (`eigsh`) finds them.
+Inputs without that structure are rejected at construction: `LampCoeffs`
+unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -32,8 +34,12 @@ DENSE_CUTOFF = 4000
 class LampCoeffs:
     a: float
     b: float
-    c: float
     d: float | None = None   # Wishart only
+
+    def __post_init__(self):
+        if not self.a >= self.b >= 0.0:
+            raise ValueError(f"LAMP needs a >= b >= 0 for a PSD preconditioner "
+                             f"(got a={self.a}, b={self.b})")
 
 
 def lamp_coefficients(act: Activation, latent: SeparablePrior,
@@ -43,12 +49,10 @@ def lamp_coefficients(act: Activation, latent: SeparablePrior,
         raise ValueError(f"{act.kind}: LAMP needs E_(Q_out^0)[v] = 0 "
                          "(no uninformative fixed point to linearize around)")
     m = null_channel_moments(act, latent)
-    rz = latent.rho
-    a = m["vv"]
-    b = m["vx"] ** 2 / rz
-    c = 0.5 * latent.third_moment * m["vxx"] * m["vx"] / rz ** 3
     d = model.prior_u.rho if isinstance(model, Wishart) else None
-    return LampCoeffs(a=a, b=b, c=c, d=d)
+    # vx * (vx / rho) rather than vx^2 / rho: for the linear channel vx = rho,
+    # and this order gives b == a exactly instead of b > a by one ulp
+    return LampCoeffs(a=m["vv"], b=m["vx"] * (m["vx"] / latent.rho), d=d)
 
 
 @dataclass
@@ -61,36 +65,18 @@ class LampOperator:
     coeffs: LampCoeffs
     W: np.ndarray | None          # None for covariance-LAMP
     data_apply: callable          # x -> M x (symmetric data part)
-    sigma: np.ndarray | None = None   # covariance preconditioner (cov-LAMP)
-    _sigma_factor: np.ndarray | None = field(default=None, repr=False)
+    sigma: np.ndarray | None = None         # covariance preconditioner (cov-LAMP)
+    sigma_factor: np.ndarray | None = None  # F with F F^T = sigma
 
-    # -- preconditioner ----------------------------------------------------
+    # -- preconditioner K = F F^T -------------------------------------------
     def precond_apply(self, x: np.ndarray) -> np.ndarray:
         if self.sigma is not None:
             return self.sigma @ x
-        a, b, c = self.coeffs.a, self.coeffs.b, self.coeffs.c
-        out = (a - b) * x + b * (self.W @ (self.W.T @ x)) / self.k
-        if c != 0.0:
-            out = out + c * np.sum(self.W.T @ x) / self.k ** 1.5 * np.ones(self.p)
-        return out
+        a, b = self.coeffs.a, self.coeffs.b
+        return (a - b) * x + b * (self.W @ (self.W.T @ x)) / self.k
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.precond_apply(self.data_apply(x)) / self.delta
-
-    # -- symmetric similarity K = F F^T ------------------------------------
-    @property
-    def symmetric_similar(self) -> bool:
-        if self.sigma is not None:
-            return self._sigma_psd()
-        return self.coeffs.c == 0.0 and self.coeffs.a >= self.coeffs.b >= 0.0
-
-    def _sigma_psd(self) -> bool:
-        if self._sigma_factor is None:
-            vals, vecs = np.linalg.eigh(self.sigma)
-            if vals.min() < -1e-10 * max(1.0, vals.max()):
-                return False
-            self._sigma_factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-        return True
 
     def factor_dim(self) -> int:
         if self.sigma is not None:
@@ -103,7 +89,7 @@ class LampOperator:
     def factor_apply(self, y: np.ndarray) -> np.ndarray:
         """F y with K = F F^T."""
         if self.sigma is not None:
-            return self._sigma_factor @ y
+            return self.sigma_factor @ y
         a, b = self.coeffs.a, self.coeffs.b
         if a == b:
             return math.sqrt(b / self.k) * (self.W @ y)
@@ -113,7 +99,7 @@ class LampOperator:
     def factor_rapply(self, x: np.ndarray) -> np.ndarray:
         """F^T x."""
         if self.sigma is not None:
-            return self._sigma_factor.T @ x
+            return self.sigma_factor.T @ x
         a, b = self.coeffs.a, self.coeffs.b
         if a == b:
             return math.sqrt(b / self.k) * (self.W.T @ x)
@@ -172,14 +158,17 @@ def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOp
         raise ValueError("covariance/observation dimension mismatch")
     if not np.allclose(sigma_hat, sigma_hat.T, atol=1e-10):
         raise ValueError("Sigma_hat must be symmetric")
+    vals, vecs = np.linalg.eigh(sigma_hat)
+    if vals.min() < -1e-10 * max(1.0, vals.max()):
+        raise ValueError("Sigma_hat must be positive semidefinite")
     sp = math.sqrt(p)
 
     def data_apply(x):
         return Y @ x / sp - x
 
-    return LampOperator(p=p, k=p, delta=delta,
-                        coeffs=LampCoeffs(a=1.0, b=1.0, c=0.0),
-                        W=None, data_apply=data_apply, sigma=sigma_hat)
+    return LampOperator(p=p, k=p, delta=delta, coeffs=LampCoeffs(a=1.0, b=1.0),
+                        W=None, data_apply=data_apply, sigma=sigma_hat,
+                        sigma_factor=vecs * np.sqrt(np.clip(vals, 0.0, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +182,6 @@ class SpectralResult:
     overlap_sq: float | None
     iters: int
     residuals: tuple = ()
-    converged: bool = True
 
 
 def _normalize_to_p(x: np.ndarray, p: int) -> np.ndarray:
@@ -210,13 +198,14 @@ def _overlap_sq(v: np.ndarray, truth: np.ndarray | None) -> float | None:
 def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
                  tol: float = 1e-8, max_iter: int = 10000,
                  seed: int = 0) -> SpectralResult:
-    """Top-2 eigenpairs of the LAMP operator, ordered by real part."""
-    if op.symmetric_similar:
-        return _leading_eigs_symmetric(op, truth, tol, max_iter, seed)
-    return _leading_eigs_power(op, truth, tol, max_iter, seed)
+    """Top-2 eigenpairs of the LAMP operator, largest first.
 
-
-def _leading_eigs_symmetric(op, truth, tol, max_iter, seed):
+    Lanczos on the symmetric F^T M F / Delta (K = F F^T), mapped back to
+    Gamma's eigenvectors through F; `iters` counts the Lanczos matvecs.
+    There is no other path: an operator without a PSD preconditioner cannot
+    be built (`LampCoeffs` rejects anything but a >= b >= 0, `build_cov_lamp`
+    a Sigma_hat that is not symmetric PSD).
+    """
     dim = op.factor_dim()
     count = [0]
 
@@ -241,101 +230,31 @@ def _leading_eigs_symmetric(op, truth, tol, max_iter, seed):
                           iters=count[0], residuals=tuple(residuals))
 
 
-def _power_dominant(apply_fn, x, tol, max_iter):
-    """Plain power iteration; returns (rayleigh, vector, iters, converged)."""
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        y = apply_fn(x)
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            return 0.0, x, it, True
-        y /= ny
-        lam_new = float(y @ apply_fn(y))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and it > 2:
-            return lam_new, y, it, True
-        lam, x = lam_new, y
-    return lam, x, max_iter, False
-
-
-def _leading_eigs_power(op, truth, tol, max_iter, seed):
-    """Shifted power iteration with projection deflation on non-normal Gamma.
-
-    The spectrum of the LAMP bulk extends far below zero, so a first pass
-    estimates the dominant modulus and a positive shift makes the
-    algebraically-largest eigenvalue dominant.
-    """
-    rng = make_rng(seed)
-    x0 = rng.standard_normal(op.p)
-    x0 /= np.linalg.norm(x0)
-    rho0, x1, it0, _ = _power_dominant(op.apply, x0.copy(), 1e-3, 500)
-    shift = abs(rho0) * 1.5 + 1.0
-
-    def shifted(x):
-        return op.apply(x) + shift * x
-
-    lam1s, v1, it1, conv1 = _power_dominant(shifted, x0.copy(), tol, max_iter)
-    lam1 = lam1s - shift
-
-    def deflated(x):
-        y = shifted(x - v1 * (v1 @ x))
-        return y - v1 * (v1 @ y)
-
-    lam2s, v2, it2, conv2 = _power_dominant(deflated, rng.standard_normal(op.p), tol, max_iter)
-    lam2 = lam2s - shift
-
-    res1 = float(np.linalg.norm(op.apply(v1) - lam1 * v1))
-    if not conv1:
-        # non-normal operators can stall on a complex leading pair: check the
-        # 2-dimensional Krylov projection and refuse if it is complex
-        q = np.linalg.qr(np.column_stack([v1, op.apply(v1)]))[0]
-        small = q.T @ np.column_stack([op.apply(q[:, 0]), op.apply(q[:, 1])])
-        ev = np.linalg.eigvals(small)
-        if np.any(np.abs(ev.imag) > 1e-8 * (1 + np.abs(ev.real).max())):
-            raise ValueError("leading eigenvalue pair appears complex; "
-                             "real power iteration is not applicable")
-    pairs = sorted([(lam1, v1, res1),
-                    (lam2, v2, float(np.linalg.norm(op.apply(v2) - lam2 * v2)))],
-                   key=lambda t: -t[0])
-    top = _normalize_to_p(pairs[0][1], op.p)
-    return SpectralResult(eigenvalues=(pairs[0][0], pairs[1][0]),
-                          eigenvector=top, overlap_sq=_overlap_sq(top, truth),
-                          iters=it0 + it1 + it2,
-                          residuals=(pairs[0][2], pairs[1][2]),
-                          converged=conv1 and conv2)
-
-
 def pca_estimate(inst: SpikedInstance, seed: int = 0,
                  tol: float = 1e-10) -> SpectralResult:
     """Leading eigenpair of Y/sqrt(p) (Wigner) or top right-singular pair (Wishart)."""
     p = inst.p
-    v0 = make_rng(seed).standard_normal(p)
+    wigner = isinstance(inst.model, Wigner)
     sp = math.sqrt(p)
     count = [0]
-    if isinstance(inst.model, Wigner):
-        def matvec(x):
-            count[0] += 1
-            return inst.Y @ x / sp
-        lin = LinearOperator((p, p), matvec=matvec, dtype=float)
-        vals, vecs = eigsh(lin, k=2, which="LA", v0=v0, tol=tol)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        def matvec(x):
-            count[0] += 1
-            return inst.Y.T @ (inst.Y @ x) / p
-        lin = LinearOperator((p, p), matvec=matvec, dtype=float)
-        vals, vecs = eigsh(lin, k=2, which="LA", v0=v0, tol=tol)
-        order = np.argsort(vals)[::-1]
-        vals = np.sqrt(np.clip(vals[order], 0.0, None))   # singular values of Y/sqrt(p)
-        vecs = vecs[:, order]
+
+    def gram(x):
+        return inst.Y @ x / sp if wigner else inst.Y.T @ (inst.Y @ x) / p
+
+    def matvec(x):
+        count[0] += 1
+        return gram(x)
+
+    lin = LinearOperator((p, p), matvec=matvec, dtype=float)
+    vals, vecs = eigsh(lin, k=2, which="LA", v0=make_rng(seed).standard_normal(p),
+                       tol=tol)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    res = [float(np.linalg.norm(gram(vecs[:, i]) - vals[i] * vecs[:, i]))
+           for i in range(2)]
+    if not wigner:
+        vals = np.sqrt(np.clip(vals, 0.0, None))   # singular values of Y/sqrt(p)
     top = _normalize_to_p(vecs[:, 0], p)
-    if isinstance(inst.model, Wigner):
-        res = [float(np.linalg.norm(inst.Y @ vecs[:, i] / sp - vals[i] * vecs[:, i]))
-               for i in range(2)]
-    else:
-        res = [float(np.linalg.norm(inst.Y.T @ (inst.Y @ vecs[:, i]) / p
-                                    - vals[i] ** 2 * vecs[:, i]))
-               for i in range(2)]
     return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),
                           eigenvector=top,
                           overlap_sq=_overlap_sq(top, inst.v_star),

@@ -269,24 +269,9 @@ def jacobian_at_zero(delta: float, alpha: float, act: Activation,
     ])
 
 
-def _charpoly(m: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by Faddeev-LeVerrier."""
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    mk = np.eye(n)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        c = -np.trace(mk) / k
-        coeffs[k] = c
-        mk += c * np.eye(n)
-    return coeffs
-
-
 def spectral_radius(m: np.ndarray) -> float:
-    """Largest |eigenvalue| via companion roots of the characteristic polynomial."""
-    roots = np.roots(_charpoly(m))
-    return float(np.max(np.abs(roots)))
+    """Largest |eigenvalue| of a (small, non-symmetric) matrix."""
+    return float(np.abs(np.linalg.eigvals(m)).max())
 
 
 def delta_c(alpha: float, act: Activation, latent: SeparablePrior,

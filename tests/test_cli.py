@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -178,3 +179,47 @@ def test_cov_lamp_dimension_errors(tmp_path):
                      "--observation", str(tmp_path / "y.csv"),
                      "--delta", "1.0", "--out", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+def _cov_lamp_args(tmp_path, delta="1.0", spikes=None, observation=None):
+    """cov-lamp argv on valid 6 x 6 inputs, with one input replaced."""
+    spikes_path, obs_path = tmp_path / "s.csv", tmp_path / "y.bin"
+    ser.save_matrix_csv(spikes_path, np.ones((5, 6)) if spikes is None else spikes)
+    if observation is None:
+        ser.save_matrix(obs_path, np.eye(6))
+    else:
+        obs_path.write_bytes(observation)
+    return ["cov-lamp", "--spikes", str(spikes_path), "--observation", str(obs_path),
+            "--delta", delta, "--out", str(tmp_path / "o.csv")]
+
+
+def _config_args(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    return ["se", "--alpha", "2", "--delta", "2", "--config", str(path)]
+
+
+_HEADER = struct.Struct("<IQQ")
+BAD_INPUT = {
+    "cov_lamp_nan_spikes": lambda t: _cov_lamp_args(t, spikes=np.full((5, 6), np.nan)),
+    "cov_lamp_forged_header": lambda t: _cov_lamp_args(
+        t, observation=b"SPKD" + _HEADER.pack(1, 2 ** 40, 2 ** 40)),
+    "cov_lamp_truncated": lambda t: _cov_lamp_args(
+        t, observation=b"SPKD" + _HEADER.pack(1, 6, 6) + bytes(8 * 30)),
+    "cov_lamp_negative_delta": lambda t: _cov_lamp_args(t, delta="-1"),
+    "cov_lamp_zero_delta": lambda t: _cov_lamp_args(t, delta="0"),
+    "lamp_relu": lambda t: ["lamp", "--activation", "relu", "--alpha", "2",
+                            "--delta", "1", "--p", "40"],
+    "mi_alpha_zero": lambda t: ["mi", "--alpha", "0", "--delta", "1"],
+    "rmt_negative_delta_grid": lambda t: ["rmt", "--alpha", "2", "--delta-grid=-1,1"],
+    "rmt_alpha_zero": lambda t: ["rmt", "--alpha", "0", "--delta", "1"],
+    "config_delta_not_a_number": lambda t: _config_args(t, "delta=abc"),
+    "config_p_not_an_int": lambda t: _config_args(t, "p=1.5"),
+    "grid_count_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta-grid", "1:2:x"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2(tmp_path, capsys, case):
+    assert run_main(BAD_INPUT[case](tmp_path)) == 2
+    assert "usage error" in capsys.readouterr().err

@@ -24,19 +24,21 @@ def _instance(p, k, delta, act=LINEAR, seed=0):
 
 def test_lamp_coefficients_linear():
     c = sp.lamp_coefficients(LINEAR, GAUSS1)
-    assert (c.a, c.b, c.c) == pytest.approx((1.0, 1.0, 0.0))
+    assert (c.a, c.b) == pytest.approx((1.0, 1.0))
     assert c.d is None
+    # 0.4**2 / 0.4 rounds one ulp above 0.4; b must still equal a exactly
+    c = sp.lamp_coefficients(LINEAR, gauss_prior(0.4))
+    assert c.a == c.b == 0.4
 
 
 def test_lamp_coefficients_sign():
     c = sp.lamp_coefficients(SIGN, GAUSS1)
-    assert (c.a, c.b, c.c) == pytest.approx((1.0, 2 / math.pi, 0.0), abs=1e-12)
+    assert (c.a, c.b) == pytest.approx((1.0, 2 / math.pi), abs=1e-12)
 
 
 def test_lamp_coefficients_wishart_sign():
     c = sp.lamp_coefficients(SIGN, GAUSS1, Wishart(beta=1.0))
-    assert (c.a, c.b, c.c, c.d) == pytest.approx((1.0, 2 / math.pi, 0.0, 1.0),
-                                                 abs=1e-12)
+    assert (c.a, c.b, c.d) == pytest.approx((1.0, 2 / math.pi, 1.0), abs=1e-12)
 
 
 def test_lamp_coefficients_reject_relu():
@@ -60,9 +62,9 @@ def test_applicator_matches_dense(odd_act):
 
 
 def test_pure_covariance_preconditioner():
-    # c = 0, b = a: the preconditioner is exactly a * W W^T / k
+    # b = a: the preconditioner is exactly a * W W^T / k
     gm, inst = _instance(80, 40, 1.0, LINEAR, seed=2)
-    coeffs = sp.LampCoeffs(a=1.0, b=1.0, c=0.0)
+    coeffs = sp.LampCoeffs(a=1.0, b=1.0)
     op = sp.build_lamp_wigner(inst, gm, coeffs)
     x = make_rng(5).standard_normal(80)
     want = gm.W @ (gm.W.T @ x) / gm.k
@@ -103,7 +105,6 @@ def test_symmetric_path_on_known_eigenpairs():
     gm, inst = _instance(300, 150, 1.0, seed=21)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1)
     op = sp.build_lamp_wigner(inst, gm, coeffs)
-    assert op.symmetric_similar
     res = sp.leading_eigs(op, truth=inst.v_star, seed=1)
     dense_eigs = np.sort(np.linalg.eigvals(op.dense()).real)[::-1]
     assert res.eigenvalues[0] == pytest.approx(dense_eigs[0], abs=1e-7)
@@ -113,23 +114,16 @@ def test_symmetric_path_on_known_eigenpairs():
     assert res.residuals[0] <= 1e-6
 
 
-def test_power_path_on_nonnormal_matrix():
-    # random non-normal matrix with known real spectrum (similarity transform)
-    rng = make_rng(31)
-    n = 60
-    eigs = np.sort(rng.uniform(-2, 2, n))[::-1]
-    eigs[0] = 3.0   # clear dominant algebraic eigenvalue
-    s = rng.standard_normal((n, n)) * 0.3 + np.eye(n)
-    m = s @ np.diag(eigs) @ np.linalg.inv(s)
-    op = sp.LampOperator(p=n, k=n, delta=1.0,
-                         coeffs=sp.LampCoeffs(a=1.0, b=2.0, c=0.0),  # forces power path
-                         W=rng.standard_normal((n, n)),
-                         data_apply=lambda x: m @ x)
-    # bypass the builder: apply Gamma = m directly by neutralizing the precond
-    op.precond_apply = lambda x: x
-    assert not op.symmetric_similar
-    res = sp.leading_eigs(op, tol=1e-10, seed=2)
-    assert res.eigenvalues[0] == pytest.approx(3.0, abs=1e-6)
+def test_rejects_non_psd_preconditioner():
+    # only a PSD preconditioner makes Gamma similar to a symmetric operator
+    with pytest.raises(ValueError, match="a >= b >= 0"):
+        sp.LampCoeffs(a=1.0, b=2.0)
+    with pytest.raises(ValueError, match="a >= b >= 0"):
+        sp.LampCoeffs(a=1.0, b=-0.5)
+    y = make_rng(31).standard_normal((40, 40))
+    indefinite = np.diag(np.linspace(-1.0, 1.0, 40))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        sp.build_cov_lamp(y, indefinite, 1.0)
 
 
 def test_lamp_outlier_at_transition():

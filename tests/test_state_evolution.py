@@ -229,20 +229,20 @@ def test_spectral_radius_companion():
 def test_delta_c_closed_forms_wigner():
     for alpha in (0.5, 1.0, 2.0, 5.0):
         assert se.delta_c(alpha, LINEAR, GAUSS1) == pytest.approx(
-            1 + alpha, abs=1e-3)
+            1 + alpha, abs=1e-8)
         assert se.delta_c(alpha, SIGN, GAUSS1) == pytest.approx(
-            1 + 4 * alpha / math.pi ** 2, abs=1e-3)
+            1 + 4 * alpha / math.pi ** 2, abs=1e-8)
     # separable limit of the sign prior
-    assert se.delta_c(1e-9, SIGN, GAUSS1) == pytest.approx(1.0, abs=1e-3)
+    assert se.delta_c(1e-9, SIGN, GAUSS1) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_delta_c_closed_forms_wishart():
     for beta in (0.5, 1.0, 2.0):
         model = Wishart(beta=beta)
         assert se.delta_c(1.0, LINEAR, GAUSS1, model) == pytest.approx(
-            math.sqrt(beta * 2), abs=1e-3)
+            math.sqrt(beta * 2), abs=1e-8)
         assert se.delta_c(2.0, SIGN, GAUSS1, model) == pytest.approx(
-            math.sqrt(beta * (1 + 8 / math.pi ** 2)), abs=1e-3)
+            math.sqrt(beta * (1 + 8 / math.pi ** 2)), abs=1e-8)
 
 
 def test_delta_c_crossing_consistency():
