@@ -8,13 +8,15 @@ Everything here is built on the tilted scalar measures
 For the deterministic channels shipped here (v = phi(x)) the v-integral
 collapses and every moment of Q_out is a one-dimensional integral over x:
 closed form for the linear channel (Gaussian convolution), erf-based closed
-forms for sign (stable down to V -> 0), and piecewise Gauss-Legendre
-quadrature split at the kink for ReLU.
+forms for sign (stable down to V -> 0), and truncated-Gaussian closed forms
+for ReLU (piecewise Gauss-Legendre split at the kink is the reference path).
 
 The free-entropy integrals Psi_z / Psi_out and their gradients are
 Gauss-Hermite expectations over the effective Gaussian fields; gradients use
 the moment identities 2 d_x Psi_out = E[Z_out f_v^2] and
-2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.
+2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.  The linear
+channel's Psi_out gradients are closed form; the (xi, eta) grid serves the
+sign and ReLU gradients and Psi_out itself.
 """
 
 from __future__ import annotations
@@ -393,6 +395,8 @@ def psi_u_grad2(prior_u: SeparablePrior, x: float, order: int = 64) -> float:
 def _field_grid(latent, x, y, order, rotate=True):
     """(B, omega, log-weights, V) for the E_{xi,eta} expectations over Z_out.
 
+    The grid serves the sign and ReLU gradients and every Psi_out value; the
+    linear gradients are closed form (psi_out_grads) and never reach it.
     Z_out(sqrt(x) xi, x, sqrt(y) eta, V) times the Gaussian weight forms a
     tilted, strongly anisotropic ridge in (xi, eta) at low noise.  For the
     linear channel its quadratic form is exact:
@@ -416,10 +420,13 @@ def _field_grid(latent, x, y, order, rotate=True):
     logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
     if not rotate:
         # plain tensor grid: best for the sign channel, whose Z shifts the
-        # xi-mass without widening it (the proxy rotation would dilute nodes)
+        # xi-mass without widening it (the proxy rotation would dilute nodes).
+        # B (order, 1) and omega (1, order) stay separable and broadcast
+        # against the (order, order) log-weights, so per-field work runs on
+        # `order` values
         logw = logw1[:, None] + logw1[None, :]
-        B = math.sqrt(x) * (math.sqrt(2.0) * t)[:, None] + np.zeros((1, order))
-        omega = math.sqrt(y) * (math.sqrt(2.0) * t)[None, :] + np.zeros((order, 1))
+        B = math.sqrt(x) * (math.sqrt(2.0) * t)[:, None]
+        omega = math.sqrt(y) * (math.sqrt(2.0) * t)[None, :]
         return B, omega, logw, V
     # effective precision P = I - H of the linear-proxy integrand
     s = 1.0 / (1.0 + x * V)
@@ -473,7 +480,13 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
     """(d/dx, d/dy) of Psi_out via the moment identities.
 
     2 d_x Psi_out = E[Z_out f_v^2] and 2 d_y Psi_out = E[Z_out f_out^2],
-    evaluated on the same quadrature grid as psi_out.
+    evaluated on the same quadrature grid as psi_out.  The linear channel
+    has them in closed form, with V = rho_z - y:
+
+        2 d_x Psi_out = y + x V^2 / (1 + x V),   2 d_y Psi_out = x / (1 + x V)
+
+    Psi_out sees the latent prior only through rho_z, so this holds for every
+    latent, and `order`/`adaptive` are unused there.
     """
     def val(n):
         B, omega, logw, V = _field_grid(latent, x, y, n, rotate=act.kind != "sign")
@@ -487,6 +500,10 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
         raise ValueError("need 0 <= y < rho_z")
     if x < 0:
         raise ValueError("x must be nonnegative")
+    if act.kind == "linear":
+        V = latent.rho - y
+        s = 1.0 + x * V
+        return 0.5 * (y + x * V * V / s), 0.5 * x / s
     gx, gy = val(order)
     if adaptive:
         gx2, gy2 = val(2 * order)

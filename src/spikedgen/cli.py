@@ -109,6 +109,13 @@ class ExperimentConfig:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
             raise UsageError("alpha: must be nonnegative")
+        for keys, build in (("latent/rho_z", self.latent_prior),
+                            ("prior_u/rho_u", self.model_kind),
+                            ("se_*", self.se_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise UsageError(f"{keys}: {exc}") from None
 
     # -- derived objects ----------------------------------------------------
     def act(self) -> Activation:
@@ -359,6 +366,8 @@ def compare_rmt_se(alpha: float, delta_grid, out_path=None,
     deltas = list(delta_grid)
     if not deltas:
         raise UsageError("delta_grid: empty grid")
+    if not all(d > 0 for d in deltas):
+        raise UsageError("delta_grid: values must be positive")
     act = Activation("linear")
     latent = SeparablePrior("gauss", 1.0)
     se_cfg = se_cfg or se_mod.SEConfig(init="informative")
@@ -461,6 +470,7 @@ def _cmd_sweep(args):
 
 def _cmd_compare(args):
     cfg = _build_cfg(args)
+    cfg.validate()
     if not cfg.delta_grid:
         raise UsageError("delta_grid: required for compare-rmt-se")
     rows = compare_rmt_se(cfg.alpha, cfg.delta_grid, out_path=cfg.out)

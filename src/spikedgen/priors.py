@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,10 +99,13 @@ def activation(name: str) -> Activation:
     return Activation(name)
 
 
+@lru_cache(maxsize=64)
 def rho_v(act: Activation, latent: SeparablePrior) -> float:
     """Spike second moment E[phi(x)^2], x ~ N(0, rho_z).
 
-    Closed form for linear and sign; 64-node Gauss-Hermite for ReLU.
+    Closed form for linear and sign; 64-node Gauss-Hermite for ReLU, cached
+    per (act, latent) so that the state-evolution steps, which bound q_v by
+    it, do not rebuild the nodes on every step.
     """
     rz = latent.rho
     if act.kind == "linear":

@@ -326,6 +326,48 @@ def test_psi_out_x_curvature_at_origin(odd_act):
     assert gx / h == pytest.approx(0.5 * rv ** 2, abs=1e-3)
 
 
+def _grads_on_grid(act, x, B, omega, logw, V):
+    """(d_x, d_y) Psi_out by the moment identities on a given field grid."""
+    logz, ev, _, ex, _ = ch.out_moments(act, B, x, omega, V)
+    zw = np.exp(logw + logz)
+    fout = (ex - omega) / V
+    return (0.5 * float(np.sum(zw * ev * ev)),
+            0.5 * float(np.sum(zw * fout * fout)))
+
+
+def test_linear_grads_closed_form_match_quadrature():
+    # Psi_out sees the latent only through rho_z; the closed form must agree
+    # with the 64 x 64 adapted grid for every rho_z and for a Rademacher latent
+    for latent in (gauss_prior(0.4), GAUSS1, gauss_prior(3.0), rademacher_prior()):
+        for x in np.geomspace(1e-3, 10.0, 9):
+            for frac in (0.0, 0.1, 0.5, 0.9, 0.99):
+                y = frac * latent.rho
+                want = _grads_on_grid(LINEAR, x, *ch._field_grid(latent, x, y, 64))
+                got = ch.psi_out_grads(LINEAR, latent, x, y)
+                assert abs(got[0] - want[0]) <= 1e-12
+                assert abs(got[1] - want[1]) <= 1e-12
+
+
+def test_sign_separable_grid_matches_materialised_grid():
+    order = 64
+    g = ch.hermite_grid(order)
+    u = math.sqrt(2.0) * g.nodes
+    logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
+    for x, y in [(0.0, 0.0), (0.3, 0.2), (1.7, 0.6), (8.0, 0.95)]:
+        B, omega, logw, V = ch._field_grid(GAUSS1, x, y, order, rotate=False)
+        assert B.shape == (order, 1) and omega.shape == (1, order)
+        # the tensor grid filled out to order x order, as the broadcast shapes
+        # stand for
+        B_full = math.sqrt(x) * u[:, None] + np.zeros((1, order))
+        omega_full = math.sqrt(y) * u[None, :] + np.zeros((order, 1))
+        logw_full = logw1[:, None] + logw1[None, :]
+        assert ch.psi_out_grads(SIGN, GAUSS1, x, y, order=order, adaptive=False) == \
+            _grads_on_grid(SIGN, x, B_full, omega_full, logw_full, V)
+        logz, *_ = ch.out_moments(SIGN, B_full, x, omega_full, V)
+        assert ch.psi_out(SIGN, GAUSS1, x, y, order=order, adaptive=False) == \
+            float(np.sum(np.exp(logw_full + logz) * logz))
+
+
 def test_psi_out_dy_nonnegative(any_act):
     for x in (0.0, 0.5, 2.0):
         for y in (0.0, 0.3, 0.7):

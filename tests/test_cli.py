@@ -216,6 +216,12 @@ BAD_INPUT = {
     "config_delta_not_a_number": lambda t: _config_args(t, "delta=abc"),
     "config_p_not_an_int": lambda t: _config_args(t, "p=1.5"),
     "grid_count_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta-grid", "1:2:x"],
+    "se_rho_z_zero": lambda t: ["se", "--rho-z", "0", "--alpha", "2", "--delta", "1"],
+    "se_negative_tol": lambda t: ["se", "--alpha", "2", "--delta", "1", "--se-tol", "-1"],
+    "compare_negative_delta_grid": lambda t: ["compare-rmt-se", "--alpha", "2",
+                                              "--delta-grid=-1,1"],
+    "compare_negative_alpha": lambda t: ["compare-rmt-se", "--alpha=-1",
+                                         "--delta-grid", "1,2"],
 }
 
 

@@ -28,6 +28,17 @@ def closed_linear_fixed_point(delta, alpha, iters=300000):
     return qv
 
 
+def closed_linear_wishart_step(qv, qz, qhat, qu, delta, alpha, beta, damping):
+    """Hand-derived Wishart linear map (Gauss latent and u, rho = 1)."""
+    x = beta * qu / delta
+    V = 1 - qz
+    qhat = (1 - damping) * alpha * x / (1 + x * V) + damping * qhat
+    qz2 = qhat / (1 + qhat)
+    qv2 = qz + x * V ** 2 / (1 + x * V)
+    qu2 = (qv / delta) / (1 + qv / delta)
+    return qv2, qz2, qhat, qu2
+
+
 # ---------------------------------------------------------------------------
 # the SE map
 # ---------------------------------------------------------------------------
@@ -130,6 +141,41 @@ def test_wishart_tied_reproduces_wigner():
         # re-tie q_u = q_v before the next step
         st_w = se.OverlapState(new_w.q_v, new_w.q_z, new_w.q_hat_z, q_u=new_w.q_v)
         st_g = new_g
+
+
+def test_wishart_linear_fixed_point_vs_closed_map():
+    beta, alpha, cfg = 1.5, 2.0, se.SEConfig()
+    for delta in (0.5, 1.5, 3.0):
+        state = (1e-6, 1e-6, 0.0, 1e-6)     # the uninformative init
+        for _ in range(100000):
+            new = closed_linear_wishart_step(*state, delta, alpha, beta,
+                                             cfg.damping)
+            done = max(abs(a - b) for a, b in zip(new, state)) < 1e-14
+            state = new
+            if done:
+                break
+        pp = se.se_fixed_point(cfg, delta, alpha, LINEAR, GAUSS1,
+                               Wishart(beta=beta))
+        assert pp.converged
+        assert pp.q_v_star == pytest.approx(state[0], abs=1e-8)
+        assert pp.q_u_star == pytest.approx(state[3], abs=1e-8)
+
+
+def test_relu_fixed_point_builds_rho_v_nodes_once(monkeypatch):
+    # rho_v(relu) is a 64-node Gauss-Hermite sum that bounds q_v on every
+    # step; a run must not rebuild its nodes once per step
+    calls = []
+    hermgauss = np.polynomial.hermite.hermgauss
+
+    def counting(order):
+        calls.append(order)
+        return hermgauss(order)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    pp = se.se_fixed_point(se.SEConfig(), 0.6, 2.0, RELU, GAUSS1)
+    steps = sum(run["iters"] for run in pp.runs.values())
+    assert steps > 20
+    assert len(calls) <= 3
 
 
 def test_wishart_no_information_limit():
