@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import types
@@ -210,14 +211,25 @@ def parse_grid(spec: str) -> list:
 # single runs
 # ---------------------------------------------------------------------------
 
+def _check_fits(n: int, p: int, k: int):
+    """Refuse an instance whose dense W (p x k) and Y (n x p) exceed physical RAM."""
+    need = 8 * (n * p + p * k)
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > ram:
+        raise UsageError(f"p/k/beta: the dense instance needs {need / 2 ** 30:.3g} GiB "
+                         f"(W {p} x {k}, Y {n} x {p}), more than the "
+                         f"{ram / 2 ** 30:.3g} GiB of physical memory")
+
+
 def _make_instance(cfg: ExperimentConfig, seed: int):
     p, k = cfg.dims()
+    n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
+    _check_fits(n, p, k)
     gm = make_model(p, k, cfg.act(), cfg.latent_prior(), splitmix64(seed, 1))
     z, v = generate_spike(gm, splitmix64(seed, 2))
     if cfg.model == "wigner":
         inst = sample_wigner(v, cfg.delta, splitmix64(seed, 3), z_star=z)
     else:
-        n = int(round(cfg.beta * p))
         u = sample_u(cfg.u_prior(), n, splitmix64(seed, 4))
         inst = sample_wishart(u, v, cfg.delta, splitmix64(seed, 3),
                               prior_u=cfg.u_prior(), z_star=z)

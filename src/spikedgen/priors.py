@@ -10,11 +10,18 @@ rank-one deformations of Gaussian noise:
 
 All randomness flows through numpy's counter-based Philox generator so that
 every artifact is reproducible from (seed, shape) alone.
+
+The noise samplers build Y in one dense buffer, 8 n p bytes (n = p for
+Wigner): a worker thread draws the normals row block by row block, and the
+calling thread symmetrises, scales and adds the spike to each block while
+the later blocks are drawn.  Y is bit-identical to the dense expressions
+above evaluated on one `standard_normal` draw of the whole matrix.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -227,6 +234,36 @@ class SpikedInstance:
         return self.Y.shape[0] / self.Y.shape[1]
 
 
+# rows of Y per draw task; one Wigner block pair (I, J) is _BLOCK x _BLOCK
+_BLOCK = 512
+
+
+def _draw_rows(shape: tuple[int, int], seed: int, finish) -> np.ndarray:
+    """Dense Y of `shape` holding the Philox normals of `seed`, finished in place.
+
+    Y is allocated once.  One worker thread draws the row blocks of _BLOCK
+    rows in order; numpy releases the GIL while it fills, so the calling
+    thread runs `finish(Y, rows)` on each block as soon as its draw is done,
+    overlapping the draw of the blocks after it.  `finish` may touch only
+    rows up to `rows.stop`.  Block draws from one Generator give the same
+    stream as a single `standard_normal(shape)` call.  An exception from a
+    draw reaches the caller through its future; the draws not yet started
+    are then cancelled.
+    """
+    Y = np.empty(shape)
+    rng = make_rng(seed)
+    blocks = [slice(r, min(r + _BLOCK, shape[0])) for r in range(0, shape[0], _BLOCK)]
+    pool = ThreadPoolExecutor(1)
+    try:
+        draws = [pool.submit(rng.standard_normal, out=Y[rows]) for rows in blocks]
+        for rows, draw in zip(blocks, draws):
+            draw.result()
+            finish(Y, rows)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return Y
+
+
 def sample_wigner(v_star: np.ndarray, delta: float, seed: int,
                   z_star: np.ndarray | None = None) -> SpikedInstance:
     """Y = v v^T / sqrt(p) + sqrt(delta) * xi with GOE noise.
@@ -234,34 +271,64 @@ def sample_wigner(v_star: np.ndarray, delta: float, seed: int,
     GOE convention: E[xi_ij^2] = 1 + delta_ij, i.e. off-diagonal variance 1
     and diagonal variance 2, so the noise bulk is the semicircle of radius
     2 sqrt(delta) after the 1/sqrt(p) scaling.
+
+    xi = (a + a^T) / sqrt(2) for a = standard_normal((p, p)) of `seed`, built
+    in the one dense buffer that becomes Y: once row block J of a is drawn,
+    every block (I, J), I <= J, is finished from a[I, J] and a[J, I] and its
+    transpose written to (J, I), with the draw of the later rows overlapped.
+    Each element sees the operations of the dense expression
+    ((a + a^T) / sqrt(2)) * sqrt(delta) + outer(v, v) / sqrt(p), v as
+    float64, in that order, so Y equals it bit for bit, and Y == Y^T exactly.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    p = len(v_star)
-    a = make_rng(seed).standard_normal((p, p))
-    xi = (a + a.T) / math.sqrt(2.0)
-    del a
-    Y = xi
-    Y *= math.sqrt(delta)
-    Y += np.outer(v_star, v_star) / math.sqrt(p)
-    return SpikedInstance(model=Wigner(), Y=Y, delta=delta,
-                          v_star=np.asarray(v_star, dtype=float), z_star=z_star)
+    v = np.asarray(v_star, dtype=float)
+    p = len(v)
+    scale, sqrt_p = math.sqrt(delta), math.sqrt(p)
+
+    def finish(Y, rows):
+        for start in range(0, rows.start + 1, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, rows.stop))
+            block = Y[cols, rows] + Y[rows, cols].T
+            block /= math.sqrt(2.0)
+            block *= scale
+            spike = np.outer(v[cols], v[rows])
+            spike /= sqrt_p
+            block += spike
+            Y[cols, rows] = block
+            Y[rows, cols] = block.T
+
+    Y = _draw_rows((p, p), seed, finish)
+    return SpikedInstance(model=Wigner(), Y=Y, delta=delta, v_star=v, z_star=z_star)
 
 
 def sample_wishart(u_star: np.ndarray, v_star: np.ndarray, delta: float,
                    seed: int, prior_u: SeparablePrior | None = None,
                    z_star: np.ndarray | None = None) -> SpikedInstance:
-    """Y = u v^T / sqrt(p) + sqrt(delta) * xi, xi_{mu i} i.i.d. N(0,1)."""
+    """Y = u v^T / sqrt(p) + sqrt(delta) * xi, xi_{mu i} i.i.d. N(0,1).
+
+    xi is standard_normal((n, p)) of `seed`, drawn into the one dense buffer
+    that becomes Y; each row block is scaled and given its rows of the spike
+    while the later rows are drawn, so Y equals the dense expression
+    xi * sqrt(delta) + outer(u, v) / sqrt(p), u and v as float64, bit for bit.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n, p = len(u_star), len(v_star)
-    Y = make_rng(seed).standard_normal((n, p))
-    Y *= math.sqrt(delta)
-    Y += np.outer(u_star, v_star) / math.sqrt(p)
+    u, v = np.asarray(u_star, dtype=float), np.asarray(v_star, dtype=float)
+    n, p = len(u), len(v)
+    scale, sqrt_p = math.sqrt(delta), math.sqrt(p)
+
+    def finish(Y, rows):
+        block = Y[rows]
+        block *= scale
+        spike = np.outer(u[rows], v)
+        spike /= sqrt_p
+        block += spike
+
+    Y = _draw_rows((n, p), seed, finish)
     model = Wishart(beta=n / p, prior_u=prior_u or gauss_prior())
-    return SpikedInstance(model=model, Y=Y, delta=delta,
-                          v_star=np.asarray(v_star, dtype=float),
-                          z_star=z_star, u_star=np.asarray(u_star, dtype=float))
+    return SpikedInstance(model=model, Y=Y, delta=delta, v_star=v,
+                          z_star=z_star, u_star=u)
 
 
 def sample_u(prior_u: SeparablePrior, n: int, seed: int) -> np.ndarray:

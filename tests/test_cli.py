@@ -222,6 +222,11 @@ BAD_INPUT = {
                                               "--delta-grid=-1,1"],
     "compare_negative_alpha": lambda t: ["compare-rmt-se", "--alpha=-1",
                                          "--delta-grid", "1,2"],
+    # dense W and Y beyond physical memory: refused before anything is drawn
+    "amp_instance_too_large": lambda t: ["amp", "--alpha", "2", "--k", "1000000",
+                                         "--delta", "1"],
+    "wishart_instance_too_large": lambda t: ["amp", "--model", "wishart", "--beta", "1e7",
+                                             "--alpha", "2", "--p", "1000", "--delta", "1"],
 }
 
 

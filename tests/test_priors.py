@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,58 @@ def test_null_channel_moments_closed_forms(gauss1):
     assert m["v"] == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
     assert m["vv"] == pytest.approx(0.5, abs=1e-12)
     assert m["vx"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _dense_wigner(v, delta, seed):
+    a = pr.make_rng(seed).standard_normal((len(v), len(v)))
+    return (a + a.T) / math.sqrt(2.0) * math.sqrt(delta) + np.outer(v, v) / math.sqrt(len(v))
+
+
+def _dense_wishart(u, v, delta, seed):
+    xi = pr.make_rng(seed).standard_normal((len(u), len(v)))
+    return xi * math.sqrt(delta) + np.outer(u, v) / math.sqrt(len(v))
+
+
+@pytest.mark.parametrize("delta", [0.3, 2.7])
+def test_samplers_match_dense_reference(delta):
+    # below, at and across the row-block size
+    for p in (1, 511, 512, 513, 1100):
+        v = pr.make_rng(p).standard_normal(p)
+        Y = pr.sample_wigner(v, delta, seed=p + 1).Y
+        assert np.array_equal(Y, _dense_wigner(v, delta, p + 1))
+        assert np.array_equal(Y, Y.T)
+    for n, p in ((300, 700), (1100, 513)):
+        u, v = pr.make_rng(n).standard_normal(n), pr.make_rng(p).standard_normal(p)
+        Y = pr.sample_wishart(u, v, delta, seed=n + p).Y
+        assert np.array_equal(Y, _dense_wishart(u, v, delta, n + p))
+
+
+def test_sampler_peak_is_one_buffer():
+    # tracemalloc sees numpy's data buffers; Y itself is 8 n p bytes
+    p = 3000
+    v = pr.make_rng(1).standard_normal(p)
+    tracemalloc.start()
+    try:
+        pr.sample_wigner(v, 0.5, seed=2)
+        wigner_peak = tracemalloc.get_traced_memory()[1]
+        n, p = 3000, 2000
+        u, v = pr.make_rng(3).standard_normal(n), pr.make_rng(4).standard_normal(p)
+        tracemalloc.reset_peak()
+        pr.sample_wishart(u, v, 0.5, seed=5)
+        wishart_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wigner_peak < 1.25 * 8 * 3000 ** 2
+    assert wishart_peak < 1.25 * 8 * n * p
+
+
+def test_sampler_draw_error_reaches_caller(monkeypatch):
+    class FailingRng:
+        def standard_normal(self, out):
+            raise FloatingPointError("draw failed")
+
+    monkeypatch.setattr(pr, "make_rng", lambda seed: FailingRng())
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        pr.sample_wigner(np.ones(1100), 0.5, seed=0)
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        pr.sample_wishart(np.ones(1100), np.ones(30), 0.5, seed=0)
