@@ -1,16 +1,18 @@
 """Bayes-optimal approximate message passing for spiked Wigner and Wishart.
 
-One iteration interleaves the spiked layer (rank-one likelihood messages with
-an Onsager memory term), the generative layer (GLM messages through W), and
-the marginal updates by the scalar denoisers of `channels`.  The per-iteration
-overlap v_hat . v* / p is tracked so runs can be compared against state
-evolution.
+One engine serves both models.  An iteration runs the spiked layer (rank-one
+likelihood messages with an Onsager memory term), the generative layer (GLM
+messages through W), and the marginal updates by the scalar denoisers of
+`channels`.  Only the spiked layer depends on the model: it is symmetric
+(Y v_hat) for Wigner, and bipartite (Y v_hat to the left factor u, Y^T u_hat
+to v) for Wishart, whose state also carries u_hat.  The per-iteration overlap
+v_hat . v* / p is tracked so runs can be compared against state evolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,9 @@ class AmpConfig:
 
 
 @dataclass
-class AmpStateWigner:
+class AmpState:
+    """One AMP iterate; the u fields are None for Wigner."""
+
     v_hat: np.ndarray
     c_v: np.ndarray
     z_hat: np.ndarray
@@ -53,13 +57,9 @@ class AmpStateWigner:
     V: float = 0.0
     Lambda: float = 0.0
     t: int = 1
-
-
-@dataclass
-class AmpStateWishart(AmpStateWigner):
-    u_hat: np.ndarray = None
-    c_u: np.ndarray = None
-    u_hat_prev: np.ndarray = None
+    u_hat: np.ndarray | None = None
+    c_u: np.ndarray | None = None
+    u_hat_prev: np.ndarray | None = None
 
 
 @dataclass
@@ -76,7 +76,6 @@ class AmpResult:
     converged: bool
     u_hat: np.ndarray | None = None
     overlap_u: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def align_and_mse(v_hat: np.ndarray, v_star: np.ndarray) -> tuple[float, int]:
@@ -90,27 +89,41 @@ def align_and_mse(v_hat: np.ndarray, v_star: np.ndarray) -> tuple[float, int]:
 
 def _check_finite(t, **vecs):
     for name, v in vecs.items():
-        if not np.all(np.isfinite(v)):
+        if v is not None and not np.all(np.isfinite(v)):
             raise AmpDivergenceError(t, name)
 
 
-def amp_wigner_step(state: AmpStateWigner, inst: SpikedInstance,
-                    gm: GenerativeModel, onsager: bool = True) -> AmpStateWigner:
-    """One sweep of the Bayes-optimal Wigner algorithm.
+def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
+             onsager: bool = True, prior_u: SeparablePrior | None = None) -> AmpState:
+    """One sweep of the Bayes-optimal algorithm, for either model.
 
-    `onsager=False` drops the memory term of the spiked layer; it exists only
-    as a negative control for the state-evolution tracking tests.
+    The spiked layer is bipartite when the state carries u_hat (Wishart; the
+    u denoiser is `prior_u`, by default the instance's) and symmetric
+    otherwise.  `onsager=False` drops its memory terms; it exists only as a
+    negative control for the state-evolution tracking tests.
     """
     p, k = gm.p, gm.k
     delta = inst.delta
     sp = math.sqrt(p)
     sk = math.sqrt(k)
-    _check_finite(state.t, v_hat=state.v_hat, z_hat=state.z_hat)
+    _check_finite(state.t, **{name: v for name, v in vars(state).items()
+                              if isinstance(v, np.ndarray)})
 
-    b_v = inst.Y @ state.v_hat / (sp * delta)
-    if onsager:
-        b_v -= (np.mean(state.c_v) / delta) * state.v_hat_prev
-    a_v = float(state.v_hat @ state.v_hat) / (delta * p)
+    eu = cu = None
+    if state.u_hat is None:
+        b_v = inst.Y @ state.v_hat / (sp * delta)
+        if onsager:
+            b_v -= (np.mean(state.c_v) / delta) * state.v_hat_prev
+        a_v = float(state.v_hat @ state.v_hat) / (delta * p)
+    else:
+        b_u = inst.Y @ state.v_hat / (sp * delta)
+        b_v = inst.Y.T @ state.u_hat / (sp * delta)
+        if onsager:
+            b_u -= (np.sum(state.c_v) / (p * delta)) * state.u_hat_prev
+            b_v -= (np.sum(state.c_u) / (p * delta)) * state.v_hat_prev
+        a_u = float(state.v_hat @ state.v_hat) / (delta * p)
+        a_v = float(state.u_hat @ state.u_hat) / (delta * p)
+        _, eu, cu = ch.latent_moments(prior_u or inst.model.prior_u, b_u, a_u)
 
     v_cap = max(float(np.mean(state.c_z)), _V_FLOOR)
     omega = gm.W @ state.z_hat / sk - v_cap * state.g_prev
@@ -120,32 +133,70 @@ def amp_wigner_step(state: AmpStateWigner, inst: SpikedInstance,
     gamma = gm.W.T @ g / sk + lam * state.z_hat
 
     _, ez, cz = ch.latent_moments(gm.latent, gamma, lam)
-    _check_finite(state.t, v_hat=ev, z_hat=ez, g=g)
-    return AmpStateWigner(v_hat=ev, c_v=cv, z_hat=ez, c_z=cz,
-                          v_hat_prev=state.v_hat, g_prev=g,
-                          A_v=a_v, V=v_cap, Lambda=lam, t=state.t + 1)
+    _check_finite(state.t, v_hat=ev, z_hat=ez, u_hat=eu, g=g)
+    return AmpState(v_hat=ev, c_v=cv, z_hat=ez, c_z=cz,
+                    v_hat_prev=state.v_hat, g_prev=g,
+                    A_v=a_v, V=v_cap, Lambda=lam, t=state.t + 1,
+                    u_hat=eu, c_u=cu, u_hat_prev=state.u_hat)
 
 
-def _init_wigner(p, k, cfg, seed, init_v=None, init_z=None):
+def _trace(state: AmpState, inst: SpikedInstance, gm: GenerativeModel) -> tuple:
+    """(q_v, |v_hat|^2 / p, q_z, mse_v) of one iterate."""
+    q_z = (float(state.z_hat @ inst.z_star) / gm.k if inst.z_star is not None
+           else float("nan"))
+    return (float(state.v_hat @ inst.v_star) / gm.p,
+            float(state.v_hat @ state.v_hat) / gm.p, q_z,
+            align_and_mse(state.v_hat, inst.v_star)[0])
+
+
+def _run(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
+         seed: int, onsager: bool = True, init_v=None, init_z=None,
+         prior_u: SeparablePrior | None = None) -> AmpResult:
+    """Init, iterate with damping until the relative change of v_hat is below
+    tol, and collect the traces; a `prior_u` makes the run bipartite."""
+    if inst.delta <= 0:
+        raise ValueError("delta must be positive (A_v would be infinite)")
+    if inst.Y.shape[1] != gm.p:
+        raise ValueError("instance and model dimensions differ")
+    cfg = cfg or AmpConfig()
+    p, k = gm.p, gm.k
     rng = make_rng(seed)
     sig = math.sqrt(cfg.init_sigma2)
+    # draw order v, z, u: the random stream of every seed stays fixed
     v0 = sig * rng.standard_normal(p) if init_v is None else np.asarray(init_v, float)
     z0 = sig * rng.standard_normal(k) if init_z is None else np.asarray(init_z, float)
-    return AmpStateWigner(
-        v_hat=v0, c_v=np.ones(p),
-        z_hat=z0, c_z=np.ones(k),
-        v_hat_prev=np.zeros(p), g_prev=np.zeros(p))
+    state = AmpState(v_hat=v0, c_v=np.ones(p), z_hat=z0, c_z=np.ones(k),
+                     v_hat_prev=np.zeros(p), g_prev=np.zeros(p))
+    if prior_u is not None:
+        n = inst.Y.shape[0]
+        state.u_hat = sig * rng.standard_normal(n)
+        state.c_u, state.u_hat_prev = np.ones(n), np.zeros(n)
 
+    rows = [_trace(state, inst, gm)]
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iter + 1):
+        new = amp_step(state, inst, gm, onsager=onsager, prior_u=prior_u)
+        if cfg.damping > 0:
+            new.v_hat = (1 - cfg.damping) * new.v_hat + cfg.damping * state.v_hat
+            new.z_hat = (1 - cfg.damping) * new.z_hat + cfg.damping * state.z_hat
+        rel = (np.linalg.norm(new.v_hat - state.v_hat)
+               / max(np.linalg.norm(state.v_hat), 1e-300))
+        state = new
+        rows.append(_trace(state, inst, gm))
+        if rel < cfg.tol:
+            converged = True
+            break
 
-def _traces(result_state, inst, gm, trace_qv, trace_self, trace_qz, trace_mse):
-    p, k = gm.p, gm.k
-    trace_qv.append(float(result_state.v_hat @ inst.v_star) / p)
-    trace_self.append(float(result_state.v_hat @ result_state.v_hat) / p)
-    if inst.z_star is not None:
-        trace_qz.append(float(result_state.z_hat @ inst.z_star) / k)
-    else:
-        trace_qz.append(float("nan"))
-    trace_mse.append(align_and_mse(result_state.v_hat, inst.v_star)[0])
+    # Wishart: Y fixes only the product u v^T, so (u, v) share one sign
+    mse_v, sign = align_and_mse(state.v_hat, inst.v_star)
+    overlap_u = (float(state.u_hat @ inst.u_star) / len(inst.u_star)
+                 if inst.u_star is not None else None)
+    qv, qs, qz, mse = map(list, zip(*rows))
+    return AmpResult(v_hat=state.v_hat, z_hat=state.z_hat, overlap_trace=qv,
+                     self_overlap_trace=qs, q_z_trace=qz, mse_trace=mse,
+                     mse_v=mse_v, sign=sign, iters=it, converged=converged,
+                     u_hat=state.u_hat, overlap_u=overlap_u)
 
 
 def amp_wigner_run(inst: SpikedInstance, gm: GenerativeModel,
@@ -153,32 +204,7 @@ def amp_wigner_run(inst: SpikedInstance, gm: GenerativeModel,
                    onsager: bool = True, init_v=None, init_z=None) -> AmpResult:
     if not isinstance(inst.model, Wigner):
         raise ValueError("instance is not a Wigner observation")
-    if inst.delta <= 0:
-        raise ValueError("delta must be positive (A_v would be infinite)")
-    if inst.Y.shape[0] != gm.p:
-        raise ValueError("instance and model dimensions differ")
-    cfg = cfg or AmpConfig()
-    state = _init_wigner(gm.p, gm.k, cfg, seed, init_v, init_z)
-    qv, qs, qz, mse = [], [], [], []
-    _traces(state, inst, gm, qv, qs, qz, mse)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        new = amp_wigner_step(state, inst, gm, onsager=onsager)
-        if cfg.damping > 0:
-            new.v_hat = (1 - cfg.damping) * new.v_hat + cfg.damping * state.v_hat
-            new.z_hat = (1 - cfg.damping) * new.z_hat + cfg.damping * state.z_hat
-        rel = (np.linalg.norm(new.v_hat - state.v_hat)
-               / max(np.linalg.norm(state.v_hat), 1e-300))
-        state = new
-        _traces(state, inst, gm, qv, qs, qz, mse)
-        if rel < cfg.tol:
-            converged = True
-            break
-    mse_v, sign = align_and_mse(state.v_hat, inst.v_star)
-    return AmpResult(v_hat=state.v_hat, z_hat=state.z_hat, overlap_trace=qv,
-                     self_overlap_trace=qs, q_z_trace=qz, mse_trace=mse,
-                     mse_v=mse_v, sign=sign, iters=it, converged=converged)
+    return _run(inst, gm, cfg, seed, onsager, init_v, init_z)
 
 
 def amp_wishart_run(inst: SpikedInstance, gm: GenerativeModel,
@@ -186,67 +212,4 @@ def amp_wishart_run(inst: SpikedInstance, gm: GenerativeModel,
                     cfg: AmpConfig | None = None, seed: int = 0) -> AmpResult:
     if not isinstance(inst.model, Wishart):
         raise ValueError("instance is not a Wishart observation")
-    if inst.delta <= 0:
-        raise ValueError("delta must be positive (A_v would be infinite)")
-    n, p = inst.Y.shape
-    if p != gm.p:
-        raise ValueError("instance and model dimensions differ")
-    cfg = cfg or AmpConfig()
-    prior_u = prior_u or inst.model.prior_u
-    k = gm.k
-    delta = inst.delta
-    sp = math.sqrt(p)
-    sk = math.sqrt(k)
-
-    rng = make_rng(seed)
-    sig = math.sqrt(cfg.init_sigma2)
-    state = AmpStateWishart(
-        v_hat=sig * rng.standard_normal(p), c_v=np.ones(p),
-        z_hat=sig * rng.standard_normal(k), c_z=np.ones(k),
-        v_hat_prev=np.zeros(p), g_prev=np.zeros(p),
-        u_hat=sig * rng.standard_normal(n), c_u=np.ones(n),
-        u_hat_prev=np.zeros(n))
-
-    qv, qs, qz, mse = [], [], [], []
-    _traces(state, inst, gm, qv, qs, qz, mse)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        b_u = inst.Y @ state.v_hat / (sp * delta)
-        b_u -= (np.sum(state.c_v) / (p * delta)) * state.u_hat_prev
-        a_u = float(state.v_hat @ state.v_hat) / (delta * p)
-        b_v = inst.Y.T @ state.u_hat / (sp * delta)
-        b_v -= (np.sum(state.c_u) / (p * delta)) * state.v_hat_prev
-        a_v = float(state.u_hat @ state.u_hat) / (delta * p)
-
-        v_cap = max(float(np.mean(state.c_z)), _V_FLOOR)
-        omega = gm.W @ state.z_hat / sk - v_cap * state.g_prev
-        _, ev, cv, ex, _ = ch.out_moments(gm.act, b_v, a_v, omega, v_cap)
-        g = (ex - omega) / v_cap
-        lam = float(g @ g) / k
-        gamma = gm.W.T @ g / sk + lam * state.z_hat
-
-        _, ez, cz = ch.latent_moments(gm.latent, gamma, lam)
-        _, eu, cu = ch.latent_moments(prior_u, b_u, a_u)
-        _check_finite(it, v_hat=ev, z_hat=ez, u_hat=eu, g=g)
-
-        if cfg.damping > 0:
-            ev = (1 - cfg.damping) * ev + cfg.damping * state.v_hat
-            ez = (1 - cfg.damping) * ez + cfg.damping * state.z_hat
-        rel = np.linalg.norm(ev - state.v_hat) / max(np.linalg.norm(state.v_hat), 1e-300)
-        state = AmpStateWishart(v_hat=ev, c_v=cv, z_hat=ez, c_z=cz,
-                                v_hat_prev=state.v_hat, g_prev=g,
-                                A_v=a_v, V=v_cap, Lambda=lam, t=it + 1,
-                                u_hat=eu, c_u=cu, u_hat_prev=state.u_hat)
-        _traces(state, inst, gm, qv, qs, qz, mse)
-        if rel < cfg.tol:
-            converged = True
-            break
-
-    # Y fixes only the product u v^T: align (u, v) by one shared sign
-    mse_v, sign = align_and_mse(state.v_hat, inst.v_star)
-    overlap_u = float(state.u_hat @ inst.u_star) / n if inst.u_star is not None else None
-    return AmpResult(v_hat=state.v_hat, z_hat=state.z_hat, overlap_trace=qv,
-                     self_overlap_trace=qs, q_z_trace=qz, mse_trace=mse,
-                     mse_v=mse_v, sign=sign, iters=it, converged=converged,
-                     u_hat=state.u_hat, overlap_u=overlap_u)
+    return _run(inst, gm, cfg, seed, prior_u=prior_u or inst.model.prior_u)

@@ -384,14 +384,6 @@ def psi_z_grad2(prior: SeparablePrior, x: float, order: int = 64) -> float:
     return float(np.sum(g.std_weights * mean))
 
 
-def psi_u(prior_u: SeparablePrior, x: float, order: int = 64) -> float:
-    return psi_z(prior_u, x, order)
-
-
-def psi_u_grad2(prior_u: SeparablePrior, x: float, order: int = 64) -> float:
-    return psi_z_grad2(prior_u, x, order)
-
-
 def _field_grid(latent, x, y, order, rotate=True):
     """(B, omega, log-weights, V) for the E_{xi,eta} expectations over Z_out.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from . import amp as amp_mod
-from . import channels  # noqa: F401  (imported for error types)
+from . import channels
 from . import rmt as rmt_mod
 from . import spectral as spectral_mod
 from . import state_evolution as se_mod
@@ -146,16 +146,18 @@ class ExperimentConfig:
         if self.alpha <= 0:
             raise UsageError("alpha: sampled methods need alpha > 0")
         if self.k is not None:
-            p = int(round(self.alpha * self.k))
+            p, k = int(round(self.alpha * self.k)), self.k
             if abs(p - self.alpha * self.k) > 1e-9:
                 print(f"# rounding p to {p} for alpha={self.alpha}, k={self.k}",
                       file=sys.stderr)
-            return p, self.k
-        k = int(round(self.p / self.alpha))
-        if abs(k - self.p / self.alpha) > 1e-9:
-            print(f"# rounding k to {k} for alpha={self.alpha}, p={self.p}",
-                  file=sys.stderr)
-        return self.p, k
+        else:
+            p, k = self.p, int(round(self.p / self.alpha))
+            if abs(k - self.p / self.alpha) > 1e-9:
+                print(f"# rounding k to {k} for alpha={self.alpha}, p={self.p}",
+                      file=sys.stderr)
+        if min(p, k) < 1:
+            raise UsageError(f"p/k: p and k must be at least 1 (got p={p}, k={k})")
+        return p, k
 
 
 def load_config_file(path) -> dict:
@@ -281,11 +283,10 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             acfg = amp_mod.AmpConfig(max_iter=cfg.amp_max_iter, tol=cfg.amp_tol,
                                      damping=cfg.amp_damping,
                                      init_sigma2=cfg.init_sigma2)
-            if cfg.model == "wigner":
-                res = amp_mod.amp_wigner_run(inst, gm, acfg, seed=splitmix64(seed, 5))
-            else:
-                res = amp_mod.amp_wishart_run(inst, gm, cfg.u_prior(), acfg,
-                                              seed=splitmix64(seed, 5))
+            # amp_wigner_run or amp_wishart_run, looked up at call time; a
+            # Wishart run denoises u with the instance's prior, cfg.u_prior()
+            run = getattr(amp_mod, f"amp_{cfg.model}_run")
+            res = run(inst, gm, cfg=acfg, seed=splitmix64(seed, 5))
             m = {"q_v": res.overlap_trace[-1], "mse_v": res.mse_v,
                  "iters": res.iters, "converged": res.converged,
                  "trace": {"q_v": res.overlap_trace, "q_z": res.q_z_trace,
@@ -294,10 +295,7 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
                 m["q_u"] = res.overlap_u
         elif method == "lamp":
             coeffs = spectral_mod.lamp_coefficients(act, latent, cfg.model_kind())
-            if cfg.model == "wigner":
-                op = spectral_mod.build_lamp_wigner(inst, gm, coeffs)
-            else:
-                op = spectral_mod.build_lamp_wishart(inst, gm, coeffs)
+            op = spectral_mod.build_lamp(inst, gm, coeffs)
             sr = spectral_mod.leading_eigs(op, truth=inst.v_star, tol=cfg.eig_tol,
                                            seed=splitmix64(seed, 6))
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)

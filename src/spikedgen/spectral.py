@@ -5,10 +5,13 @@ structure of the generative prior:
 
     Gamma = (1/Delta) * [ (a-b) I + b W W^T/k ] * M
 
-with M = Y/sqrt(p) - a I (Wigner) or M = Y^T Y / (p (a + Delta/d)) - d beta I
-(Wishart).  The paper's third preconditioner term is proportional to the third
-moment of P_z, which vanishes for both shipped (symmetric) priors, and
-a >= b >= 0 holds by Cauchy-Schwarz, so the preconditioner is PSD: K = F F^T.
+with M = scale * G - shift * I, where G = `gram(inst)` is the data operator
+that PCA also diagonalises: G = Y/sqrt(p) with scale 1 and shift a (Wigner),
+or G = Y^T Y / p with scale 1/(a + Delta/d) and shift d beta (Wishart).  One
+builder, `build_lamp`, serves both models.  The paper's third preconditioner
+term is proportional to the third moment of P_z, which vanishes for both
+shipped (symmetric) priors, and a >= b >= 0 holds by Cauchy-Schwarz, so the
+preconditioner is PSD: K = F F^T.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
 whose eigenvectors map back through F, and Lanczos (`eigsh`) finds them.
 Inputs without that structure are rejected at construction: `LampCoeffs`
@@ -114,32 +117,32 @@ class LampOperator:
         return self.precond_apply(m) / self.delta
 
 
-def build_lamp_wigner(inst: SpikedInstance, gm: GenerativeModel,
-                      coeffs: LampCoeffs) -> LampOperator:
-    if inst.Y.shape != (gm.p, gm.p):
+def gram(inst: SpikedInstance):
+    """The data operator x -> Y x / sqrt(p) (Wigner) or Y^T (Y x) / p (Wishart).
+
+    PCA takes its leading eigenpairs; `build_lamp` scales and shifts it.
+    """
+    Y, p = inst.Y, inst.p
+    if isinstance(inst.model, Wigner):
+        sp = math.sqrt(p)
+        return lambda x: Y @ x / sp
+    return lambda x: Y.T @ (Y @ x) / p
+
+
+def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
+               coeffs: LampCoeffs) -> LampOperator:
+    """LAMP on M = scale * gram - shift * I (scale 1 and shift a for Wigner)."""
+    if inst.Y.shape[1] != gm.p:
         raise ValueError("instance/model dimension mismatch")
-    sp = math.sqrt(gm.p)
-    a = coeffs.a
+    scale, shift = 1.0, coeffs.a
+    if isinstance(inst.model, Wishart):
+        if coeffs.d is None:
+            raise ValueError("Wishart LAMP needs the d coefficient (rho_u)")
+        scale, shift = 1.0 / (coeffs.a + inst.delta / coeffs.d), coeffs.d * inst.beta
+    data = gram(inst)
 
     def data_apply(x):
-        return inst.Y @ x / sp - a * x
-
-    return LampOperator(p=gm.p, k=gm.k, delta=inst.delta, coeffs=coeffs,
-                        W=gm.W, data_apply=data_apply)
-
-
-def build_lamp_wishart(inst: SpikedInstance, gm: GenerativeModel,
-                       coeffs: LampCoeffs) -> LampOperator:
-    n, p = inst.Y.shape
-    if p != gm.p:
-        raise ValueError("instance/model dimension mismatch")
-    if coeffs.d is None:
-        raise ValueError("Wishart LAMP needs the d coefficient (rho_u)")
-    beta = n / p
-    scale = 1.0 / (coeffs.a + inst.delta / coeffs.d)
-
-    def data_apply(x):
-        return scale * (inst.Y.T @ (inst.Y @ x)) / p - coeffs.d * beta * x
+        return scale * data(x) - shift * x
 
     return LampOperator(p=gm.p, k=gm.k, delta=inst.delta, coeffs=coeffs,
                         W=gm.W, data_apply=data_apply)
@@ -234,25 +237,21 @@ def pca_estimate(inst: SpikedInstance, seed: int = 0,
                  tol: float = 1e-10) -> SpectralResult:
     """Leading eigenpair of Y/sqrt(p) (Wigner) or top right-singular pair (Wishart)."""
     p = inst.p
-    wigner = isinstance(inst.model, Wigner)
-    sp = math.sqrt(p)
+    data = gram(inst)
     count = [0]
-
-    def gram(x):
-        return inst.Y @ x / sp if wigner else inst.Y.T @ (inst.Y @ x) / p
 
     def matvec(x):
         count[0] += 1
-        return gram(x)
+        return data(x)
 
     lin = LinearOperator((p, p), matvec=matvec, dtype=float)
     vals, vecs = eigsh(lin, k=2, which="LA", v0=make_rng(seed).standard_normal(p),
                        tol=tol)
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    res = [float(np.linalg.norm(gram(vecs[:, i]) - vals[i] * vecs[:, i]))
+    res = [float(np.linalg.norm(data(vecs[:, i]) - vals[i] * vecs[:, i]))
            for i in range(2)]
-    if not wigner:
+    if isinstance(inst.model, Wishart):
         vals = np.sqrt(np.clip(vals, 0.0, None))   # singular values of Y/sqrt(p)
     top = _normalize_to_p(vecs[:, 0], p)
     return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),

@@ -2,12 +2,14 @@
 
 The Bayes-optimal overlaps (q_v, q_z, q_hat_z) [plus q_u for Wishart] obey
 
-    q_hat_z = 2 alpha d_{q_z} Psi_out(q_v / Delta, q_z)
+    q_hat_z = 2 alpha d_{q_z} Psi_out(x, q_z)
     q_z'    = 2 d Psi_z(q_hat_z)
-    q_v'    = 2 d_{q_v} Psi_out(q_v / Delta, q_z)
+    q_v'    = 2 d_{q_v} Psi_out(x, q_z)
 
-(Wishart replaces the first argument by beta q_u / Delta and adds
-q_u' = 2 d Psi_u(q_v / Delta)).  MMSE_v = rho_v - q_v* at the fixed point.
+with x = q_v / Delta for Wigner.  One step function `se_step` serves both
+models: Wishart only sets x = beta q_u / Delta and adds
+q_u' = 2 d Psi_u(q_v / Delta), where Psi_u is Psi_z taken over P_u.
+MMSE_v = rho_v - q_v* at the fixed point.
 The phase transition Delta_c is where the spectral radius of the Jacobian of
 this map at the all-zeros fixed point crosses one.
 """
@@ -93,49 +95,38 @@ def _clamp_state(q_v, q_z, q_hat_z, rv, rz, q_u=None, ru=None):
     return q_v, q_z, q_hat_z, q_u
 
 
-def se_step_wigner(state: OverlapState, delta: float, alpha: float,
-                   act: Activation, latent: SeparablePrior,
-                   damping: float = 0.0, order: int = 64) -> OverlapState:
-    """One synchronous update of the Wigner state evolution."""
-    rv = rho_v(act, latent)
-    gx, gy = ch.psi_out_grads(act, latent, state.q_v / delta, state.q_z,
-                              order=order, adaptive=False)
+def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
+            latent: SeparablePrior, model: Wigner | Wishart = Wigner(),
+            damping: float = 0.0, order: int = 64) -> OverlapState:
+    """One synchronous update of the SE map.
+
+    The model enters only through Psi_out's first argument, q_v / Delta for
+    Wigner and beta q_u / Delta for Wishart, and through Wishart's q_u line.
+    """
+    wishart = isinstance(model, Wishart)
+    x = model.beta * state.q_u / delta if wishart else state.q_v / delta
+    gx, gy = ch.psi_out_grads(act, latent, x, state.q_z, order=order,
+                              adaptive=False)
     q_hat_new = 2.0 * alpha * gy
     q_hat = (1.0 - damping) * q_hat_new + damping * state.q_hat_z
     q_z = ch.psi_z_grad2(latent, q_hat, order=order)
     q_v = 2.0 * gx
-    q_v, q_z, q_hat, _ = _clamp_state(q_v, q_z, q_hat, rv, latent.rho)
-    return OverlapState(q_v=q_v, q_z=q_z, q_hat_z=q_hat)
-
-
-def se_step_wishart(state: OverlapState, delta: float, alpha: float,
-                    beta: float, act: Activation, latent: SeparablePrior,
-                    prior_u: SeparablePrior, damping: float = 0.0,
-                    order: int = 64) -> OverlapState:
-    """One update of the Wishart state evolution (beta-scaled argument)."""
-    rv = rho_v(act, latent)
-    q_u = state.q_u if state.q_u is not None else 0.0
-    gx, gy = ch.psi_out_grads(act, latent, beta * q_u / delta, state.q_z,
-                              order=order, adaptive=False)
-    q_hat_new = 2.0 * alpha * gy
-    q_hat = (1.0 - damping) * q_hat_new + damping * state.q_hat_z
-    q_z = ch.psi_z_grad2(latent, q_hat, order=order)
-    q_v = 2.0 * gx
-    q_u_new = ch.psi_u_grad2(prior_u, state.q_v / delta, order=order)
-    q_v, q_z, q_hat, q_u_new = _clamp_state(q_v, q_z, q_hat, rv, latent.rho,
-                                            q_u_new, prior_u.rho)
-    return OverlapState(q_v=q_v, q_z=q_z, q_hat_z=q_hat, q_u=q_u_new)
+    q_u = ru = None
+    if wishart:
+        q_u = ch.psi_z_grad2(model.prior_u, state.q_v / delta, order=order)
+        ru = model.prior_u.rho
+    q_v, q_z, q_hat, q_u = _clamp_state(q_v, q_z, q_hat, rho_v(act, latent),
+                                        latent.rho, q_u, ru)
+    return OverlapState(q_v=q_v, q_z=q_z, q_hat_z=q_hat, q_u=q_u)
 
 
 def _init_state(init: str, eps: float, rv: float, rz: float,
-                wishart: bool, ru: float = 1.0) -> OverlapState:
+                ru: float | None = None) -> OverlapState:
+    """`ru` is rho_u for Wishart and None for Wigner, which has no q_u."""
     if init == "uninformative":
-        qv, qz = eps, eps
-        qu = eps if wishart else None
-    else:
-        qv, qz = rv * (1.0 - 1e-6), rz * (1.0 - 1e-6)
-        qu = ru * (1.0 - 1e-6) if wishart else None
-    return OverlapState(q_v=qv, q_z=qz, q_hat_z=0.0, q_u=qu)
+        return OverlapState(eps, eps, 0.0, None if ru is None else eps)
+    keep = 1.0 - 1e-6
+    return OverlapState(rv * keep, rz * keep, 0.0, None if ru is None else ru * keep)
 
 
 def _iterate(state: OverlapState, step, cfg: SEConfig):
@@ -165,20 +156,13 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     rv = rho_v(act, latent)
-    wishart = isinstance(model, Wishart)
-    if wishart:
-        step = lambda s: se_step_wishart(s, delta, alpha, model.beta, act,
-                                         latent, model.prior_u,
-                                         damping=cfg.damping, order=cfg.quad_order)
-        ru = model.prior_u.rho
-    else:
-        step = lambda s: se_step_wigner(s, delta, alpha, act, latent,
-                                        damping=cfg.damping, order=cfg.quad_order)
-        ru = 1.0
+    ru = model.prior_u.rho if isinstance(model, Wishart) else None
+    step = lambda s: se_step(s, delta, alpha, act, latent, model,
+                             damping=cfg.damping, order=cfg.quad_order)
 
     runs = {}
     for init in ("uninformative", "informative"):
-        s0 = _init_state(init, cfg.eps_init, rv, latent.rho, wishart, ru)
+        s0 = _init_state(init, cfg.eps_init, rv, latent.rho, ru)
         state, iters, converged, diff = _iterate(s0, step, cfg)
         runs[init] = {"state": state, "iters": iters, "converged": converged,
                       "final_change": diff}

@@ -243,7 +243,7 @@ def test_criterion_4_lamp_spectral_transition():
     details = []
     for delta in (1.0, 2.0, 2.8):
         inst = sample_wigner(v, delta, seed=43 + int(10 * delta), z_star=z)
-        op = spectral.build_lamp_wigner(inst, gm, coeffs)
+        op = spectral.build_lamp(inst, gm, coeffs)
         res = spectral.leading_eigs(op, truth=inst.v_star, seed=4)
         eps = rmt.epsilon_overlap(2.0, delta)
         ok_here = (abs(res.eigenvalues[0] - 1.0) <= 0.05
@@ -261,7 +261,7 @@ def test_criterion_4_lamp_spectral_transition():
     ovs, zs = [], []
     for s in noise_seeds(90):
         inst = sample_wigner(v, 4.5, seed=s, z_star=z)
-        res = spectral.leading_eigs(spectral.build_lamp_wigner(inst, gm, coeffs),
+        res = spectral.leading_eigs(spectral.build_lamp(inst, gm, coeffs),
                                     truth=inst.v_star, seed=4)
         ovs.append(res.overlap_sq)
         zs.append((res.eigenvalues[0] - lam_max) / sigma)

@@ -19,11 +19,35 @@ def _wigner_setup(k, delta, act=LINEAR, alpha=2, seed=0):
     return gm, inst
 
 
+def _wishart_setup(k, delta, act=LINEAR, alpha=2, seed=0):
+    p = alpha * k
+    gm = make_model(p, k, act, GAUSS1, seed=seed * 17 + 1)
+    z, v = generate_spike(gm, seed=seed * 17 + 2)
+    u = sample_u(GAUSS1, p, seed=seed * 17 + 4)
+    inst = sample_wishart(u, v, delta, seed=seed * 17 + 3, prior_u=GAUSS1, z_star=z)
+    return gm, inst
+
+
+SETUPS = {"wigner": _wigner_setup, "wishart": _wishart_setup}
+
+
+def _zero_state(gm, inst, model):
+    """The all-zero AMP state, with the u fields for Wishart."""
+    state = amp.AmpState(
+        v_hat=np.zeros(gm.p), c_v=np.full(gm.p, 1.0),
+        z_hat=np.zeros(gm.k), c_z=np.full(gm.k, GAUSS1.rho),
+        v_hat_prev=np.zeros(gm.p), g_prev=np.zeros(gm.p))
+    if model == "wishart":
+        n = inst.Y.shape[0]
+        state.u_hat, state.c_u, state.u_hat_prev = np.zeros(n), np.ones(n), np.zeros(n)
+    return state
+
+
 def se_trajectory(q_v0, q_z0, delta, alpha, act, steps):
     st = se.OverlapState(q_v=q_v0, q_z=q_z0, q_hat_z=0.0)
     out = [st.q_v]
     for _ in range(steps):
-        st = se.se_step_wigner(st, delta, alpha, act, GAUSS1)
+        st = se.se_step(st, delta, alpha, act, GAUSS1)
         out.append(st.q_v)
     return out
 
@@ -52,15 +76,14 @@ def test_config_validation():
         amp.AmpConfig(damping=1.0)
 
 
-def test_zero_state_is_fixed_point():
-    gm, inst = _wigner_setup(100, 1.0, SIGN)
-    state = amp.AmpStateWigner(
-        v_hat=np.zeros(gm.p), c_v=np.full(gm.p, 1.0),
-        z_hat=np.zeros(gm.k), c_z=np.full(gm.k, GAUSS1.rho),
-        v_hat_prev=np.zeros(gm.p), g_prev=np.zeros(gm.p))
-    new = amp.amp_wigner_step(state, inst, gm)
+@pytest.mark.parametrize("model", sorted(SETUPS))
+def test_zero_state_is_fixed_point(model):
+    gm, inst = SETUPS[model](100, 1.0, SIGN)
+    new = amp.amp_step(_zero_state(gm, inst, model), inst, gm)
     assert np.all(new.v_hat == 0.0)
     assert np.all(new.z_hat == 0.0)
+    if model == "wishart":
+        assert np.all(new.u_hat == 0.0)
 
 
 def test_strong_signal_recovery():
@@ -210,11 +233,13 @@ def test_wishart_beta1_matches_wigner_statistically():
     assert abs(np.mean(overlaps_w) - np.mean(overlaps_g)) <= 3 * scale
 
 
-def test_divergence_detection():
-    gm, inst = _wigner_setup(100, 1.0)
-    bad = amp.AmpStateWigner(
-        v_hat=np.full(gm.p, np.nan), c_v=np.ones(gm.p),
-        z_hat=np.zeros(gm.k), c_z=np.ones(gm.k),
-        v_hat_prev=np.zeros(gm.p), g_prev=np.zeros(gm.p))
-    with pytest.raises(amp.AmpDivergenceError):
-        amp.amp_wigner_step(bad, inst, gm)
+@pytest.mark.parametrize("model", sorted(SETUPS))
+def test_divergence_detection(model):
+    gm, inst = SETUPS[model](100, 1.0)
+    fields = [f for f, v in vars(_zero_state(gm, inst, model)).items()
+              if isinstance(v, np.ndarray)]
+    for name in fields:
+        bad = _zero_state(gm, inst, model)
+        setattr(bad, name, np.full_like(getattr(bad, name), np.nan))
+        with pytest.raises(amp.AmpDivergenceError, match=f"non-finite {name}$"):
+            amp.amp_step(bad, inst, gm)

@@ -222,6 +222,11 @@ BAD_INPUT = {
                                               "--delta-grid=-1,1"],
     "compare_negative_alpha": lambda t: ["compare-rmt-se", "--alpha=-1",
                                          "--delta-grid", "1,2"],
+    # p or k below 1, given or derived (k = round(1 / 2) = 0)
+    "amp_k_zero": lambda t: ["amp", "--alpha", "2", "--delta", "1", "--k", "0"],
+    "amp_k_negative": lambda t: ["amp", "--alpha", "2", "--delta", "1", "--k", "-5"],
+    "amp_p_zero": lambda t: ["amp", "--alpha", "2", "--delta", "1", "--p", "0"],
+    "amp_p_one": lambda t: ["amp", "--alpha", "2", "--delta", "1", "--p", "1"],
     # dense W and Y beyond physical memory: refused before anything is drawn
     "amp_instance_too_large": lambda t: ["amp", "--alpha", "2", "--k", "1000000",
                                          "--delta", "1"],

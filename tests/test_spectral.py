@@ -53,7 +53,7 @@ def test_lamp_coefficients_reject_relu():
 def test_applicator_matches_dense(odd_act):
     gm, inst = _instance(150, 75, 0.8, odd_act, seed=1)
     coeffs = sp.lamp_coefficients(odd_act, GAUSS1)
-    op = sp.build_lamp_wigner(inst, gm, coeffs)
+    op = sp.build_lamp(inst, gm, coeffs)
     dense = op.dense()
     rng = make_rng(4)
     for _ in range(5):
@@ -65,7 +65,7 @@ def test_pure_covariance_preconditioner():
     # b = a: the preconditioner is exactly a * W W^T / k
     gm, inst = _instance(80, 40, 1.0, LINEAR, seed=2)
     coeffs = sp.LampCoeffs(a=1.0, b=1.0)
-    op = sp.build_lamp_wigner(inst, gm, coeffs)
+    op = sp.build_lamp(inst, gm, coeffs)
     x = make_rng(5).standard_normal(80)
     want = gm.W @ (gm.W.T @ x) / gm.k
     assert np.allclose(op.precond_apply(x), want, atol=1e-12)
@@ -75,7 +75,7 @@ def test_dimension_mismatch_errors():
     gm, inst = _instance(60, 30, 1.0, seed=3)
     gm_bad = make_model(50, 25, LINEAR, GAUSS1, seed=9)
     with pytest.raises(ValueError):
-        sp.build_lamp_wigner(inst, gm_bad, sp.lamp_coefficients(LINEAR, GAUSS1))
+        sp.build_lamp(inst, gm_bad, sp.lamp_coefficients(LINEAR, GAUSS1))
 
 
 def test_cov_lamp_requires_symmetric():
@@ -91,7 +91,7 @@ def test_wishart_operator_dense_agreement():
     u = sample_u(pu, 120, seed=13)
     inst = sample_wishart(u, v, 0.9, seed=14, prior_u=pu, z_star=z)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1, Wishart(beta=1.0))
-    op = sp.build_lamp_wishart(inst, gm, coeffs)
+    op = sp.build_lamp(inst, gm, coeffs)
     dense = op.dense()
     x = make_rng(15).standard_normal(120)
     assert np.allclose(op.apply(x), dense @ x, atol=1e-10)
@@ -104,7 +104,7 @@ def test_wishart_operator_dense_agreement():
 def test_symmetric_path_on_known_eigenpairs():
     gm, inst = _instance(300, 150, 1.0, seed=21)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1)
-    op = sp.build_lamp_wigner(inst, gm, coeffs)
+    op = sp.build_lamp(inst, gm, coeffs)
     res = sp.leading_eigs(op, truth=inst.v_star, seed=1)
     dense_eigs = np.sort(np.linalg.eigvals(op.dense()).real)[::-1]
     assert res.eigenvalues[0] == pytest.approx(dense_eigs[0], abs=1e-7)
@@ -130,7 +130,7 @@ def test_lamp_outlier_at_transition():
     # linear, Delta < Delta_c: top eigenvalue detaches near 1
     p, k, delta = 2000, 1000, 2.0
     gm, inst = _instance(p, k, delta, seed=41)
-    op = sp.build_lamp_wigner(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
+    op = sp.build_lamp(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
     res = sp.leading_eigs(op, truth=inst.v_star, seed=3)
     assert abs(res.eigenvalues[0] - 1.0) <= 0.08
     edge = rmt.solve_s_edge(rmt.base_law(Wigner(), delta), 2.0)
@@ -146,7 +146,7 @@ def test_lamp_mse_matches_se_prediction():
     mses = []
     for s in range(3):
         gm, inst = _instance(p, k, delta, seed=42 + s)
-        op = sp.build_lamp_wigner(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
+        op = sp.build_lamp(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
         res = sp.leading_eigs(op, truth=inst.v_star, seed=4 + s)
         mses.append(align_and_mse(res.eigenvector, inst.v_star)[0])
     q = se.se_fixed_point(se.SEConfig(), delta, 2.0, LINEAR, GAUSS1).q_v_star
@@ -161,7 +161,7 @@ def test_wishart_lamp_gap_below_threshold():
     u = sample_u(pu, n, seed=600)
     inst = sample_wishart(u, v, 0.9, seed=700, prior_u=pu, z_star=z)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1, Wishart(beta=1.0))
-    op = sp.build_lamp_wishart(inst, gm, coeffs)
+    op = sp.build_lamp(inst, gm, coeffs)
     res = sp.leading_eigs(op, truth=inst.v_star, seed=5)
     assert res.eigenvalues[0] - res.eigenvalues[1] > 0.05
     # the uv outlier converges to 1 with sizeable finite-p fluctuations
@@ -237,7 +237,7 @@ def test_cov_lamp_estimated_covariance_consistency():
     spikes = (gm.W @ rng.standard_normal((k, m))).T / math.sqrt(k)
     sigma = sp.empirical_covariance(spikes)
     op_emp = sp.build_cov_lamp(inst.Y, sigma, delta)
-    op_orc = sp.build_lamp_wigner(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
+    op_orc = sp.build_lamp(inst, gm, sp.lamp_coefficients(LINEAR, GAUSS1))
     r_emp = sp.leading_eigs(op_emp, truth=inst.v_star, seed=11)
     r_orc = sp.leading_eigs(op_orc, truth=inst.v_star, seed=11)
     assert abs(r_emp.overlap_sq - r_orc.overlap_sq) <= 0.05
@@ -253,7 +253,7 @@ def test_lamp_not_worse_than_pca():
             lamp_o, pca_o = [], []
             for s in range(3):
                 gm, inst = _instance(p, k, delta, act, seed=90 + s)
-                op = sp.build_lamp_wigner(inst, gm,
+                op = sp.build_lamp(inst, gm,
                                           sp.lamp_coefficients(act, GAUSS1))
                 lamp_o.append(sp.leading_eigs(op, truth=inst.v_star,
                                               seed=12 + s).overlap_sq)

@@ -45,13 +45,13 @@ def closed_linear_wishart_step(qv, qz, qhat, qu, delta, alpha, beta, damping):
 
 def test_zero_state_is_fixed(odd_act):
     st = se.OverlapState(0.0, 0.0, 0.0)
-    new = se.se_step_wigner(st, 1.5, 2.0, odd_act, GAUSS1)
+    new = se.se_step(st, 1.5, 2.0, odd_act, GAUSS1)
     assert new.q_v == 0.0 and new.q_z == 0.0 and new.q_hat_z == 0.0
 
 
 def test_step_matches_closed_linear_map():
     st = se.OverlapState(0.3, 0.2, 0.0)
-    new = se.se_step_wigner(st, 2.0, 2.0, LINEAR, GAUSS1)
+    new = se.se_step(st, 2.0, 2.0, LINEAR, GAUSS1)
     qv2, qz2 = closed_linear_step(0.3, 0.2, 2.0, 2.0)
     assert new.q_v == pytest.approx(qv2, abs=1e-12)
     assert new.q_z == pytest.approx(qz2, abs=1e-12)
@@ -90,7 +90,7 @@ def test_one_step_decay_above_threshold(odd_act):
     delta = 3.0 * se.delta_c_closed_form(2.0, odd_act)
     st = se.OverlapState(0.5 * rho_v(odd_act, GAUSS1), 0.4, 0.1)
     for _ in range(5):
-        new = se.se_step_wigner(st, delta, 2.0, odd_act, GAUSS1)
+        new = se.se_step(st, delta, 2.0, odd_act, GAUSS1)
         assert new.q_v <= st.q_v + 1e-12
         st = new
 
@@ -134,8 +134,8 @@ def test_wishart_tied_reproduces_wigner():
     st_w = se.OverlapState(0.3, 0.2, 0.1, q_u=0.3)
     st_g = se.OverlapState(0.3, 0.2, 0.1)
     for _ in range(5):
-        new_w = se.se_step_wishart(st_w, 1.5, 2.0, 1.0, LINEAR, GAUSS1, pu)
-        new_g = se.se_step_wigner(st_g, 1.5, 2.0, LINEAR, GAUSS1)
+        new_w = se.se_step(st_w, 1.5, 2.0, LINEAR, GAUSS1, Wishart(beta=1.0, prior_u=pu))
+        new_g = se.se_step(st_g, 1.5, 2.0, LINEAR, GAUSS1)
         assert new_w.q_v == new_g.q_v
         assert new_w.q_z == new_g.q_z
         # re-tie q_u = q_v before the next step
@@ -187,10 +187,10 @@ def test_wishart_no_information_limit():
 def test_wishart_gauss_u_closed_form():
     # q_u update for Gaussian P_u: x rho_u^2 / (1 + x rho_u)
     for x in (0.3, 1.0, 4.0):
-        assert ch.psi_u_grad2(gauss_prior(1.0), x) == pytest.approx(
+        assert ch.psi_z_grad2(gauss_prior(1.0), x) == pytest.approx(
             x / (1 + x), abs=1e-12)
         quad = _psi_u_grad2_quadrature(gauss_prior(1.0), x)
-        assert ch.psi_u_grad2(gauss_prior(1.0), x) == pytest.approx(quad, abs=1e-9)
+        assert ch.psi_z_grad2(gauss_prior(1.0), x) == pytest.approx(quad, abs=1e-9)
 
 
 def _psi_u_grad2_quadrature(prior, x, order=150):
