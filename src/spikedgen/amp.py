@@ -39,6 +39,8 @@ class AmpConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if not (0 <= self.damping < 1):
             raise ValueError("damping must be in [0, 1)")
 

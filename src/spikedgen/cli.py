@@ -112,7 +112,8 @@ class ExperimentConfig:
             raise UsageError("alpha: must be nonnegative")
         for keys, build in (("latent/rho_z", self.latent_prior),
                             ("prior_u/rho_u", self.model_kind),
-                            ("se_*", self.se_config)):
+                            ("se_*", self.se_config),
+                            ("amp_*", self.amp_config)):
             try:
                 build()
             except ValueError as exc:
@@ -136,6 +137,11 @@ class ExperimentConfig:
     def se_config(self) -> se_mod.SEConfig:
         return se_mod.SEConfig(damping=self.se_damping, tol=self.se_tol,
                                max_iter=self.se_max_iter, init=self.se_init)
+
+    def amp_config(self) -> amp_mod.AmpConfig:
+        return amp_mod.AmpConfig(max_iter=self.amp_max_iter, tol=self.amp_tol,
+                                 damping=self.amp_damping,
+                                 init_sigma2=self.init_sigma2)
 
     def dims(self) -> tuple[int, int]:
         """(p, k) with exactly one given and the other derived from alpha."""
@@ -263,8 +269,10 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
         if method == "se":
             pp = se_mod.se_fixed_point(cfg.se_config(), cfg.delta, cfg.alpha,
                                        act, latent, cfg.model_kind())
+            sel = pp.runs[pp.init_used]
             m = {"q_v": pp.q_v_star, "q_z": pp.q_z_star, "mmse_v": pp.mmse_v,
                  "converged": pp.converged, "iters": pp.iters,
+                 "residual": sel["residual"], "solver": sel["solver"],
                  "init_gap": pp.init_gap, "q_u": pp.q_u_star}
         elif method == "mi":
             i_rs, q_v = se_mod.mutual_information(cfg.delta, cfg.alpha, act, latent,
@@ -280,13 +288,10 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             if cfg.model == "wigner":
                 m["epsilon"] = rmt_mod.epsilon_overlap(cfg.alpha, cfg.delta)
         elif method == "amp":
-            acfg = amp_mod.AmpConfig(max_iter=cfg.amp_max_iter, tol=cfg.amp_tol,
-                                     damping=cfg.amp_damping,
-                                     init_sigma2=cfg.init_sigma2)
             # amp_wigner_run or amp_wishart_run, looked up at call time; a
             # Wishart run denoises u with the instance's prior, cfg.u_prior()
             run = getattr(amp_mod, f"amp_{cfg.model}_run")
-            res = run(inst, gm, cfg=acfg, seed=splitmix64(seed, 5))
+            res = run(inst, gm, cfg=cfg.amp_config(), seed=splitmix64(seed, 5))
             m = {"q_v": res.overlap_trace[-1], "mse_v": res.mse_v,
                  "iters": res.iters, "converged": res.converged,
                  "trace": {"q_v": res.overlap_trace, "q_z": res.q_z_trace,

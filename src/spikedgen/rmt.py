@@ -23,6 +23,8 @@ from scipy.optimize import brentq
 from .priors import Wigner, Wishart
 
 EDGE_GUARD = 1e-10   # bracket guard; the edge integrand is singular at -1/z1
+_DENSITY_PREFIX = 50  # damped Silverstein steps before Newton takes over
+_NEWTON_MAX = 50      # Newton steps a density point may take before falling back
 
 
 class NegativeSupportError(ValueError):
@@ -242,16 +244,23 @@ class BulkDensity:
 def bulk_density(base: BaseLaw, alpha: float, x_grid, epsilon: float = 1e-6,
                  damping: float = 0.5, max_iter: int = 10000,
                  tol: float = 1e-11, order: int = 256) -> BulkDensity:
-    """Density via Im g_nu(x + i eps)/pi, solving the Silverstein fixed point.
+    """Density via Im g_nu(x + i eps)/pi, solving the Silverstein equation.
 
-    Damped iteration g <- (1-d) (-1/(z - alpha I(g))) + d g from g = i; points
-    that fail to converge within max_iter are flagged.
+    From g = i, at most _DENSITY_PREFIX damped steps
+    g <- (1-d) (-1/(z - alpha I(g))) + d g, each point stopping once it moves
+    less than tol.  Points still moving then take Newton steps on
+    F(g) = g (z - alpha I(g)) + 1, with I'(g) from the same nodes; the damped
+    map crawls next to the spectral edge, Newton does not.  A point whose
+    Newton iterate leaves the upper half-plane (the Stieltjes branch), or
+    that Newton does not settle, resumes damping from its prefix state for
+    the rest of max_iter.  Convergence is judged by the equation residual and
+    unconverged points are flagged; `iterations` counts damped and Newton
+    steps.
     """
     x = np.asarray(x_grid, dtype=float)
-    z = x + 1j * epsilon
-    g = np.full(x.shape, 1j, dtype=complex)
-    active = np.ones(x.shape, dtype=bool)
-    iters = np.zeros(x.shape, dtype=int)
+    z = x.ravel() + 1j * epsilon     # points are solved flat, reshaped at the end
+    g = np.full(x.size, 1j, dtype=complex)
+    iters = np.zeros(x.size, dtype=int)
     t, weight = base.nodes(order)
 
     def i1(gv):
@@ -260,19 +269,45 @@ def bulk_density(base: BaseLaw, alpha: float, x_grid, epsilon: float = 1e-6,
             out = out + base.atom_weight * base.atom_at / (1.0 + gv * base.atom_at)
         return out
 
-    for _ in range(max_iter):
-        ga = g[active]
-        gnew = -1.0 / (z[active] - alpha * i1(ga))
-        gnew = (1.0 - damping) * gnew + damping * ga
-        moved = np.abs(gnew - ga)
-        g[active] = gnew
-        iters[active] += 1
-        still = moved >= tol
-        if not still.any():
-            active[active] = False
+    def i1_prime(gv):
+        out = -np.sum(t * t * weight / (1.0 + np.multiply.outer(gv, t)) ** 2, axis=-1)
+        if base.atom_weight > 0:
+            out = out - base.atom_weight * base.atom_at ** 2 / (1.0 + gv * base.atom_at) ** 2
+        return out
+
+    def damp(active, steps):
+        """Damped steps on g[active]; returns the points still moving."""
+        for _ in range(steps):
+            if active.size == 0:
+                break
+            ga = g[active]
+            gnew = -1.0 / (z[active] - alpha * i1(ga))
+            gnew = (1.0 - damping) * gnew + damping * ga
+            g[active] = gnew
+            iters[active] += 1
+            active = active[np.abs(gnew - ga) >= tol]
+        return active
+
+    prefix = min(_DENSITY_PREFIX, max_iter)
+    moving = damp(np.arange(x.size), prefix)
+    gn = g[moving]
+    settled = np.zeros(moving.size, dtype=bool)
+    live = np.arange(moving.size)
+    for _ in range(_NEWTON_MAX):
+        if live.size == 0:
             break
-        idx = np.where(active)[0]
-        active[idx[~still]] = False
+        gl, zl = gn[live], z[moving[live]]
+        ig = i1(gl)
+        step = (gl * (zl - alpha * ig) + 1.0) / (zl - alpha * ig - alpha * gl * i1_prime(gl))
+        new = gl - step
+        iters[moving[live]] += 1
+        stay = new.imag >= 0          # False for nan too
+        gn[live[stay]] = new[stay]
+        settled[live[stay]] = np.abs(step[stay]) < tol
+        live = live[stay & ~settled[live]]
+    g[moving[settled]] = gn[settled]
+    damp(moving[~settled], max_iter - prefix)
+    z, g, iters = z.reshape(x.shape), g.reshape(x.shape), iters.reshape(x.shape)
     # a small damped step does not imply a solution (the map crawls near
     # spectral atoms), so convergence is judged by the equation residual
     residual = np.abs(1.0 + g * (z - alpha * i1(g)))

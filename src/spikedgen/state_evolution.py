@@ -9,7 +9,9 @@ The Bayes-optimal overlaps (q_v, q_z, q_hat_z) [plus q_u for Wishart] obey
 with x = q_v / Delta for Wigner.  One step function `se_step` serves both
 models: Wishart only sets x = beta q_u / Delta and adds
 q_u' = 2 d Psi_u(q_v / Delta), where Psi_u is Psi_z taken over P_u.
-MMSE_v = rho_v - q_v* at the fixed point.
+MMSE_v = rho_v - q_v* at the fixed point, found by `se_fixed_point` as a
+root of F(s) = T0(s) - s (T0 the undamped map) after a short damped prefix,
+with damping only as the counted fallback; convergence means |F|_inf < tol.
 The phase transition Delta_c is where the spectral radius of the Jacobian of
 this map at the all-zeros fixed point crosses one.
 """
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import root
 
 from . import channels as ch
 from .priors import (Activation, SeparablePrior, Wigner, Wishart,
@@ -29,6 +32,8 @@ from .priors import (Activation, SeparablePrior, Wigner, Wishart,
 log = logging.getLogger(__name__)
 
 _EDGE = 1e-12  # keep q_z strictly inside [0, rho_z) so V = rho_z - q_z > 0
+_PREFIX = 10   # damped steps that place each init in its basin before the root solve
+_TRIVIAL = 1e-12  # a deflated solve ending below this q_v found the trivial root
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,8 @@ class SEConfig:
             raise ValueError("damping must be in [0, 1)")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.init not in ("uninformative", "informative"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.eps_init <= 0:
@@ -129,43 +136,90 @@ def _init_state(init: str, eps: float, rv: float, rz: float,
     return OverlapState(rv * keep, rz * keep, 0.0, None if ru is None else ru * keep)
 
 
-def _iterate(state: OverlapState, step, cfg: SEConfig):
-    converged = False
-    it = 0
-    diff = float("inf")
+def _iterate(state: OverlapState, step, residual, cfg: SEConfig):
+    """The damped fallback: at most cfg.max_iter steps of `step`.
+
+    A step below cfg.tol only prompts a look at `residual`, which alone
+    decides convergence.  Returns (state, steps, converged, residual).
+    """
     for it in range(1, cfg.max_iter + 1):
         new = step(state)
-        diff = max(abs(a - b) for a, b in zip(new.as_tuple(), state.as_tuple()))
+        moved = max(abs(a - b) for a, b in zip(new.as_tuple(), state.as_tuple()))
         state = new
-        if diff < cfg.tol:
-            converged = True
-            break
-    return state, it, converged, diff
+        if moved < cfg.tol and (res := residual(state)) < cfg.tol:
+            return state, it, True, res
+    return state, cfg.max_iter, False, residual(state)
 
 
 def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
                    latent: SeparablePrior,
                    model: Wigner | Wishart = Wigner()) -> PhasePoint:
-    """Iterate the SE map from both inits; report the one selected by cfg.init.
+    """Solve the SE fixed point from both inits; report the one selected by cfg.init.
 
-    Both runs are recorded (the stable fixed point is expected to be unique,
-    and `init_gap` tracks the observed |q_v| difference as a regression).
+    Each init takes _PREFIX damped steps, which place it in its basin, then
+    Powell's hybrid method (MINPACK `hybr`) solves F(s) = T0(P(s)) - s = 0,
+    where T0 is the undamped map and P projects into the domain that
+    `_clamp_state` enforces; its relative step tolerance is cfg.tol.  From
+    the uninformative init, when the all-zeros fixed point is unstable, the
+    solve runs on the deflated G(s) = F(s) (1 + 1/|s/scale|^2), which repels
+    it from that trivial root (Farrell, Birkisson & Funke, SIAM J. Sci.
+    Comput. 2015), and a result with q_v below _TRIVIAL is rejected.  A result is accepted when its residual
+    |F|_inf is below cfg.tol; otherwise the damped iteration continues from
+    the prefix state for at most cfg.max_iter steps, converging only on the
+    same residual test.
+
+    Both runs are recorded with their state, `iters` (every evaluation of the
+    map, prefix and finite-difference Jacobian columns included),
+    `converged`, `residual` and `solver` ("root" or "damped"); the stable
+    fixed point is expected to be unique, and `init_gap` tracks the observed
+    |q_v| difference as a regression.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    rv = rho_v(act, latent)
+    rv, rz = rho_v(act, latent), latent.rho
     ru = model.prior_u.rho if isinstance(model, Wishart) else None
-    step = lambda s: se_step(s, delta, alpha, act, latent, model,
-                             damping=cfg.damping, order=cfg.quad_order)
+    scale = np.array((rv, rz, 1.0) if ru is None else (rv, rz, 1.0, ru))
+    damped = lambda s: se_step(s, delta, alpha, act, latent, model,
+                               damping=cfg.damping, order=cfg.quad_order)
 
+    def project(x) -> OverlapState:
+        q_u = None if ru is None else float(x[3])
+        return OverlapState(*_clamp_state(float(x[0]), float(x[1]), float(x[2]),
+                                          rv, rz, q_u, ru))
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        new = se_step(project(x), delta, alpha, act, latent, model,
+                      order=cfg.quad_order)
+        return np.subtract(new.as_tuple(), x)
+
+    def residual(state: OverlapState) -> float:
+        return float(np.abs(f(state.as_tuple())).max())
+
+    deflate = (act.zero_mean_output and spectral_radius(
+        jacobian_at_zero(delta, alpha, act, latent, model)) > 1.0 + 1e-12)
     runs = {}
     for init in ("uninformative", "informative"):
-        s0 = _init_state(init, cfg.eps_init, rv, latent.rho, ru)
-        state, iters, converged, diff = _iterate(s0, step, cfg)
-        runs[init] = {"state": state, "iters": iters, "converged": converged,
-                      "final_change": diff}
+        state = _init_state(init, cfg.eps_init, rv, rz, ru)
+        for _ in range(_PREFIX):
+            state = damped(state)
+        evals = _PREFIX
+        deflated = deflate and init == "uninformative"
+        g = (lambda x: f(x) * (1.0 + 1.0 / np.sum((x / scale) ** 2))) if deflated else f
+        sol = root(g, np.array(state.as_tuple()), method="hybr",
+                   options={"xtol": cfg.tol})
+        found = project(sol.x)
+        res = residual(found)
+        if res < cfg.tol and not (deflated and found.q_v < _TRIVIAL):
+            run = {"state": found, "converged": True, "solver": "root"}
+        else:
+            found, steps, converged, res = _iterate(state, damped, residual, cfg)
+            evals += steps
+            run = {"state": found, "converged": converged, "solver": "damped"}
+        runs[init] = {**run, "iters": evals, "residual": res}
 
     gap = float("nan")
     if runs["uninformative"]["converged"] and runs["informative"]["converged"]:
@@ -202,7 +256,7 @@ def mutual_information(delta: float, alpha: float, act: Activation,
         raise ValueError("mutual information requires alpha > 0")
     cfg = cfg or SEConfig(init="informative")
     pp = se_fixed_point(cfg, delta, alpha, act, latent, Wigner())
-    if not pp.converged and pp.runs[cfg.init]["final_change"] > 1e-6:
+    if not pp.converged and pp.runs[cfg.init]["residual"] > 1e-6:
         # i_RS is stationary at the extremizer, so a near-converged state only
         # costs second-order error; anything drifting harder is a real failure
         raise RuntimeError(f"state evolution did not converge at delta={delta}")

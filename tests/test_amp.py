@@ -74,6 +74,9 @@ def test_config_validation():
         amp.AmpConfig(tol=0.0)
     with pytest.raises(ValueError):
         amp.AmpConfig(damping=1.0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            amp.AmpConfig(max_iter=bad)
 
 
 @pytest.mark.parametrize("model", sorted(SETUPS))

@@ -25,6 +25,9 @@ def test_se_needs_no_sampling(capsys):
     assert run_main(["se", "--alpha", "2", "--delta", "2"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["metrics"]["se"]["q_v"] == pytest.approx(0.2847747611, abs=1e-7)
+    # the record says how the selected init converged
+    assert rec["metrics"]["se"]["solver"] == "root"
+    assert rec["metrics"]["se"]["residual"] < 1e-10
 
 
 def test_dims_requires_exactly_one(capsys):
@@ -193,10 +196,10 @@ def _cov_lamp_args(tmp_path, delta="1.0", spikes=None, observation=None):
             "--delta", delta, "--out", str(tmp_path / "o.csv")]
 
 
-def _config_args(tmp_path, line):
+def _config_args(tmp_path, line, argv=("se", "--alpha", "2", "--delta", "2")):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
-    return ["se", "--alpha", "2", "--delta", "2", "--config", str(path)]
+    return [*argv, "--config", str(path)]
 
 
 _HEADER = struct.Struct("<IQQ")
@@ -215,6 +218,10 @@ BAD_INPUT = {
     "rmt_alpha_zero": lambda t: ["rmt", "--alpha", "0", "--delta", "1"],
     "config_delta_not_a_number": lambda t: _config_args(t, "delta=abc"),
     "config_p_not_an_int": lambda t: _config_args(t, "p=1.5"),
+    "config_se_max_iter_zero": lambda t: _config_args(t, "se_max_iter=0"),
+    "config_se_max_iter_negative": lambda t: _config_args(t, "se_max_iter=-3"),
+    "config_amp_max_iter_zero": lambda t: _config_args(
+        t, "amp_max_iter=0", ("amp", "--alpha", "2", "--delta", "1", "--p", "200")),
     "grid_count_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta-grid", "1:2:x"],
     "se_rho_z_zero": lambda t: ["se", "--rho-z", "0", "--alpha", "2", "--delta", "1"],
     "se_negative_tol": lambda t: ["se", "--alpha", "2", "--delta", "1", "--se-tol", "-1"],

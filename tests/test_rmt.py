@@ -210,6 +210,42 @@ def test_bulk_density_matches_finite_sample():
     assert np.max(np.abs(counts - bd.nu)) <= 0.08
 
 
+def test_bulk_density_converges_next_to_edge():
+    # the damped map crawls here (10000 steps leave both points unconverged);
+    # Newton on the Silverstein equation settles them
+    bl = rmt.base_law(Wigner(), 4.5)
+    lam = rmt.solve_s_edge(bl, 2.0).lambda_max
+    bd = rmt.bulk_density(bl, 2.0, lam - np.array([3e-4, 1e-4]))
+    assert bd.converged.all()
+    assert np.all(bd.iterations < 200)
+    assert np.all(bd.nu > 0)
+
+
+def _damped_silverstein(bl, alpha, x, eps=1e-6, steps=10000, tol=1e-11):
+    """Reference: the damped iteration g <- (-1/(z - alpha I(g)) + g)/2 alone."""
+    t, w = bl.nodes(256)
+    z = x + 1j * eps
+    g = np.full(x.shape, 1j)
+    for _ in range(steps):
+        new = 0.5 * (-1.0 / (z - alpha * np.sum(t * w / (1.0 + np.multiply.outer(g, t)),
+                                                axis=-1))) + 0.5 * g
+        moved, g = np.abs(new - g), new
+        if moved.max() < tol:
+            break
+    return g.imag / math.pi
+
+
+def test_bulk_density_newton_keeps_damped_values():
+    # Delta = 1, alpha = 2: damping alone converges on every point of a grid
+    # across the bulk, and Newton must land on the same density
+    bl = rmt.base_law(Wigner(), 1.0)
+    lam = rmt.solve_s_edge(bl, 2.0).lambda_max
+    grid = np.linspace(bl.t_min * 2.0 - 1.0, lam + 0.3, 200)
+    bd = rmt.bulk_density(bl, 2.0, grid)
+    assert bd.converged.all()
+    assert np.max(np.abs(bd.nu - _damped_silverstein(bl, 2.0, grid))) <= 1e-9
+
+
 def test_mu_zero_atom_bookkeeping():
     bl = rmt.base_law(Wigner(), 2.0)
     bd = rmt.bulk_density(bl, 2.0, np.array([0.5]))

@@ -1,11 +1,12 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
 from spikedgen import channels as ch
 from spikedgen import state_evolution as se
-from spikedgen.priors import (LINEAR, RELU, SIGN, Wishart, gauss_prior,
+from spikedgen.priors import (LINEAR, RELU, SIGN, Wigner, Wishart, gauss_prior,
                               rademacher_prior, rho_v)
 
 GAUSS1 = gauss_prior(1.0)
@@ -123,6 +124,41 @@ def test_trivial_point_stable_above_delta_c(odd_act):
     dc = se.delta_c_closed_form(2.0, odd_act)
     pp = se.se_fixed_point(se.SEConfig(), 1.4 * dc, 2.0, odd_act, GAUSS1)
     assert pp.q_v_star <= 1e-6
+
+
+# next to Delta_c the damped map contracts at a rate close to one: the root
+# solve must land both inits on the same fixed point, judged by the residual
+NEAR_THRESHOLD = {
+    "linear_zero_root": (LINEAR, 10 ** 0.6, 5.0, Wigner(), (0.0, 1e-12)),
+    "linear_at_delta_c": (LINEAR, 2.0, 3.0, Wigner(), (0.0, 1e-8)),
+    "sign_alpha10": (SIGN, 10.0, 5.0, Wigner(), None),
+    "sign_alpha2": (SIGN, 2.0, 1.80, Wigner(), (0.0043052, 1e-6)),
+    "wishart_linear": (LINEAR, 5.0, 2.97, Wishart(beta=1.5), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_THRESHOLD))
+def test_near_threshold_inits_agree(case):
+    act, alpha, delta, model, want = NEAR_THRESHOLD[case]
+    pp = se.se_fixed_point(se.SEConfig(), delta, alpha, act, GAUSS1, model)
+    for run in pp.runs.values():
+        assert run["converged"] and run["residual"] < 1e-10
+        if want is not None:
+            assert run["state"].q_v == pytest.approx(want[0], abs=want[1])
+    assert pp.init_gap <= 1e-12
+
+
+def test_root_failure_falls_back_to_damping(monkeypatch):
+    # a root call that hands back its starting point, which is no root
+    def no_root(fun, x0, **kwargs):
+        return types.SimpleNamespace(x=np.asarray(x0), success=False)
+
+    monkeypatch.setattr(se, "root", no_root)
+    pp = se.se_fixed_point(se.SEConfig(), 1.0, 2.0, LINEAR, GAUSS1)
+    for run in pp.runs.values():
+        assert run["solver"] == "damped"
+        assert run["converged"] and run["residual"] < 1e-10
+    assert pp.q_v_star == pytest.approx(closed_linear_fixed_point(1.0, 2.0), abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +341,9 @@ def test_config_validation():
         se.SEConfig(tol=0.0)
     with pytest.raises(ValueError):
         se.SEConfig(init="warm")
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="max_iter"):
+            se.SEConfig(max_iter=bad)
     with pytest.raises(ValueError):
         se.se_fixed_point(se.SEConfig(), -1.0, 2.0, LINEAR, GAUSS1)
 
