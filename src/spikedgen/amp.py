@@ -7,14 +7,25 @@ messages through W), and the marginal updates by the scalar denoisers of
 (Y v_hat) for Wigner, and bipartite (Y v_hat to the left factor u, Y^T u_hat
 to v) for Wishart, whose state also carries u_hat.  The per-iteration overlap
 v_hat . v* / p is tracked so runs can be compared against state evolution.
+
+One BLAS library per hot loop: every dense product of an iteration goes
+through `scipy.linalg.blas`.  numpy and scipy link two separate OpenBLAS
+builds, each with its own thread pool whose threads spin for a while after a
+call, so a call into one library right after a call into the other runs at
+about half speed while the idle pool still holds the cores.  The products are
+made on the Fortran-ordered `.T` view of the C-ordered W and Y, so f2py copies
+no matrix.  The Wigner pass uses `dsymv`, which reads one triangle of Y, half
+the bytes of a full pass; that is exact because `sample_wigner` makes
+Y == Y^T bit for bit (a Wigner Y built by hand must be symmetric too).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import channels as ch
 from .priors import (GenerativeModel, SeparablePrior, SpikedInstance, Wigner,
@@ -95,6 +106,16 @@ def _check_finite(t, **vecs):
             raise AmpDivergenceError(t, name)
 
 
+def _gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """A x, or A^T x, for a C-ordered A, through dgemv on its F-ordered A.T."""
+    return blas.dgemv(1.0, A.T, x, trans=0 if trans else 1)
+
+
+def _symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y x for a C-ordered Y == Y^T, through dsymv on one triangle of Y.T."""
+    return blas.dsymv(1.0, Y.T, x)
+
+
 def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
              onsager: bool = True, prior_u: SeparablePrior | None = None) -> AmpState:
     """One sweep of the Bayes-optimal algorithm, for either model.
@@ -113,13 +134,13 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
 
     eu = cu = None
     if state.u_hat is None:
-        b_v = inst.Y @ state.v_hat / (sp * delta)
+        b_v = _symv(inst.Y, state.v_hat) / (sp * delta)
         if onsager:
             b_v -= (np.mean(state.c_v) / delta) * state.v_hat_prev
         a_v = float(state.v_hat @ state.v_hat) / (delta * p)
     else:
-        b_u = inst.Y @ state.v_hat / (sp * delta)
-        b_v = inst.Y.T @ state.u_hat / (sp * delta)
+        b_u = _gemv(inst.Y, state.v_hat) / (sp * delta)
+        b_v = _gemv(inst.Y, state.u_hat, trans=True) / (sp * delta)
         if onsager:
             b_u -= (np.sum(state.c_v) / (p * delta)) * state.u_hat_prev
             b_v -= (np.sum(state.c_u) / (p * delta)) * state.v_hat_prev
@@ -128,11 +149,11 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
         _, eu, cu = ch.latent_moments(prior_u or inst.model.prior_u, b_u, a_u)
 
     v_cap = max(float(np.mean(state.c_z)), _V_FLOOR)
-    omega = gm.W @ state.z_hat / sk - v_cap * state.g_prev
+    omega = _gemv(gm.W, state.z_hat) / sk - v_cap * state.g_prev
     _, ev, cv, ex, _ = ch.out_moments(gm.act, b_v, a_v, omega, v_cap)
     g = (ex - omega) / v_cap
     lam = float(g @ g) / k
-    gamma = gm.W.T @ g / sk + lam * state.z_hat
+    gamma = _gemv(gm.W, g, trans=True) / sk + lam * state.z_hat
 
     _, ez, cz = ch.latent_moments(gm.latent, gamma, lam)
     _check_finite(state.t, v_hat=ev, z_hat=ez, u_hat=eu, g=g)
@@ -161,6 +182,9 @@ def _run(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     if inst.Y.shape[1] != gm.p:
         raise ValueError("instance and model dimensions differ")
     cfg = cfg or AmpConfig()
+    # C order once per run, so that no iteration copies a matrix into dgemv
+    inst = replace(inst, Y=np.ascontiguousarray(inst.Y))
+    gm = replace(gm, W=np.ascontiguousarray(gm.W))
     p, k = gm.p, gm.k
     rng = make_rng(seed)
     sig = math.sqrt(cfg.init_sigma2)

@@ -31,8 +31,8 @@ from . import rmt as rmt_mod
 from . import spectral as spectral_mod
 from . import state_evolution as se_mod
 from .priors import (Activation, SeparablePrior, Wigner, Wishart,
-                     generate_spike, make_model, sample_u, sample_wigner,
-                     sample_wishart)
+                     generate_spike, make_model, prefetch_noise, sample_u,
+                     sample_wigner, sample_wishart)
 from .serialize import load_any_matrix, save_matrix_csv
 
 SWEEP_HEADER = ["alpha", "delta", "q_v", "q_z", "mmse_v", "converged", "iters", "init"]
@@ -233,14 +233,16 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
     p, k = cfg.dims()
     n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
     _check_fits(n, p, k)
-    gm = make_model(p, k, cfg.act(), cfg.latent_prior(), splitmix64(seed, 1))
-    z, v = generate_spike(gm, splitmix64(seed, 2))
-    if cfg.model == "wigner":
-        inst = sample_wigner(v, cfg.delta, splitmix64(seed, 3), z_star=z)
-    else:
-        u = sample_u(cfg.u_prior(), n, splitmix64(seed, 4))
-        inst = sample_wishart(u, v, cfg.delta, splitmix64(seed, 3),
-                              prior_u=cfg.u_prior(), z_star=z)
+    # the worker draws the noise while this thread draws W, the spike and u
+    with prefetch_noise((n, p), splitmix64(seed, 3)):
+        gm = make_model(p, k, cfg.act(), cfg.latent_prior(), splitmix64(seed, 1))
+        z, v = generate_spike(gm, splitmix64(seed, 2))
+        if cfg.model == "wigner":
+            inst = sample_wigner(v, cfg.delta, splitmix64(seed, 3), z_star=z)
+        else:
+            u = sample_u(cfg.u_prior(), n, splitmix64(seed, 4))
+            inst = sample_wishart(u, v, cfg.delta, splitmix64(seed, 3),
+                                  prior_u=cfg.u_prior(), z_star=z)
     return gm, inst
 
 

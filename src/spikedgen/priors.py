@@ -16,12 +16,16 @@ Wigner): a worker thread draws the normals row block by row block, and the
 calling thread symmetrises, scales and adds the spike to each block while
 the later blocks are drawn.  Y is bit-identical to the dense expressions
 above evaluated on one `standard_normal` draw of the whole matrix.
+`prefetch_noise` starts that draw early, so that W and the spike are drawn
+while the worker fills Y.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -238,30 +242,78 @@ class SpikedInstance:
 _BLOCK = 512
 
 
-def _draw_rows(shape: tuple[int, int], seed: int, finish) -> np.ndarray:
-    """Dense Y of `shape` holding the Philox normals of `seed`, finished in place.
+class _NoiseDraw:
+    """Philox normals of `seed` drawn into one dense buffer by a worker thread.
 
-    Y is allocated once.  One worker thread draws the row blocks of _BLOCK
-    rows in order; numpy releases the GIL while it fills, so the calling
-    thread runs `finish(Y, rows)` on each block as soon as its draw is done,
-    overlapping the draw of the blocks after it.  `finish` may touch only
-    rows up to `rows.stop`.  Block draws from one Generator give the same
-    stream as a single `standard_normal(shape)` call.  An exception from a
-    draw reaches the caller through its future; the draws not yet started
-    are then cancelled.
+    Y is allocated once, and the row blocks of _BLOCK rows are submitted in
+    order as soon as the draw is made; numpy releases the GIL while it fills,
+    so the calling thread is free until `complete` needs a block.  Block draws
+    from one Generator give the same stream as a single
+    `standard_normal(shape)` call.
     """
-    Y = np.empty(shape)
-    rng = make_rng(seed)
-    blocks = [slice(r, min(r + _BLOCK, shape[0])) for r in range(0, shape[0], _BLOCK)]
-    pool = ThreadPoolExecutor(1)
+
+    def __init__(self, shape: tuple[int, int], seed: int):
+        self.key = (shape, seed)
+        self.Y = np.empty(shape)
+        rng = make_rng(seed)
+        self.blocks = [slice(r, min(r + _BLOCK, shape[0]))
+                       for r in range(0, shape[0], _BLOCK)]
+        self._pool = ThreadPoolExecutor(1)
+        self._draws = [self._pool.submit(rng.standard_normal, out=self.Y[rows])
+                       for rows in self.blocks]
+
+    def complete(self, finish) -> np.ndarray:
+        """Run `finish(Y, rows)` on each block once its draw is done; returns Y.
+
+        `finish` may touch only rows up to `rows.stop`, so it overlaps the
+        draw of the blocks after it.  An exception from a draw reaches the
+        caller through its future.
+        """
+        try:
+            for rows, draw in zip(self.blocks, self._draws):
+                draw.result()
+                finish(self.Y, rows)
+        finally:
+            self.close()
+        return self.Y
+
+    def close(self):
+        """Cancel the draws not yet started and join the worker."""
+        self._pool.shutdown(cancel_futures=True)
+
+
+_prefetched: ContextVar[_NoiseDraw | None] = ContextVar("prefetched_noise", default=None)
+
+
+@contextmanager
+def prefetch_noise(shape: tuple[int, int], seed: int):
+    """Start drawing the noise of `seed` for an n x p Y now, in the background.
+
+    The first `sample_wigner` or `sample_wishart` call inside the block whose
+    Y has this shape and noise seed finishes this draw instead of starting
+    its own, so the caller can draw W and the spike in the meantime; Y is the
+    same bit for bit.  Leaving the block cancels an unused draw and joins the
+    worker, also when the block raises.
+    """
+    draw = _NoiseDraw(tuple(shape), seed)
+    token = _prefetched.set(draw)
     try:
-        draws = [pool.submit(rng.standard_normal, out=Y[rows]) for rows in blocks]
-        for rows, draw in zip(blocks, draws):
-            draw.result()
-            finish(Y, rows)
+        yield
     finally:
-        pool.shutdown(cancel_futures=True)
-    return Y
+        _prefetched.reset(token)
+        draw.close()
+
+
+def _draw_rows(shape: tuple[int, int], seed: int, finish) -> np.ndarray:
+    """Dense Y of `shape` holding the Philox normals of `seed`, finished in
+    place by `finish(Y, rows)` block by block (see `_NoiseDraw.complete`); a
+    matching prefetched draw is used once."""
+    draw = _prefetched.get()
+    if draw is None or draw.key != (shape, seed):
+        draw = _NoiseDraw(shape, seed)
+    else:
+        _prefetched.set(None)
+    return draw.complete(finish)
 
 
 def sample_wigner(v_star: np.ndarray, delta: float, seed: int,

@@ -34,6 +34,11 @@ log = logging.getLogger(__name__)
 _EDGE = 1e-12  # keep q_z strictly inside [0, rho_z) so V = rho_z - q_z > 0
 _PREFIX = 10   # damped steps that place each init in its basin before the root solve
 _TRIVIAL = 1e-12  # a deflated solve ending below this q_v found the trivial root
+# hybr's step tolerance is relative to |x|, so a solve for the stable root
+# s = 0 would crawl through the subnormals; solving for y = s + _STOP_SHIFT
+# scale gives it an absolute floor of about tol * _STOP_SHIFT, small enough
+# that both inits still agree to about 1e-15 at Delta = Delta_c
+_STOP_SHIFT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,8 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     Each init takes _PREFIX damped steps, which place it in its basin, then
     Powell's hybrid method (MINPACK `hybr`) solves F(s) = T0(P(s)) - s = 0,
     where T0 is the undamped map and P projects into the domain that
-    `_clamp_state` enforces; its relative step tolerance is cfg.tol.  From
+    `_clamp_state` enforces; its step tolerance is cfg.tol relative to
+    |s + _STOP_SHIFT scale|, which keeps an absolute floor at s = 0.  From
     the uninformative init, when the all-zeros fixed point is unstable, the
     solve runs on the deflated G(s) = F(s) (1 + 1/|s/scale|^2), which repels
     it from that trivial root (Farrell, Birkisson & Funke, SIAM J. Sci.
@@ -181,6 +187,7 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     rv, rz = rho_v(act, latent), latent.rho
     ru = model.prior_u.rho if isinstance(model, Wishart) else None
     scale = np.array((rv, rz, 1.0) if ru is None else (rv, rz, 1.0, ru))
+    shift = _STOP_SHIFT * scale
     damped = lambda s: se_step(s, delta, alpha, act, latent, model,
                                damping=cfg.damping, order=cfg.quad_order)
 
@@ -209,9 +216,9 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
         evals = _PREFIX
         deflated = deflate and init == "uninformative"
         g = (lambda x: f(x) * (1.0 + 1.0 / np.sum((x / scale) ** 2))) if deflated else f
-        sol = root(g, np.array(state.as_tuple()), method="hybr",
-                   options={"xtol": cfg.tol})
-        found = project(sol.x)
+        sol = root(lambda y: g(y - shift), np.array(state.as_tuple()) + shift,
+                   method="hybr", options={"xtol": cfg.tol})
+        found = project(sol.x - shift)
         res = residual(found)
         if res < cfg.tol and not (deflated and found.q_v < _TRIVIAL):
             run = {"state": found, "converged": True, "solver": "root"}

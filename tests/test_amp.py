@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from spikedgen import amp, state_evolution as se
 from spikedgen.priors import (LINEAR, SIGN, Wigner, gauss_prior,
@@ -246,3 +249,70 @@ def test_divergence_detection(model):
         setattr(bad, name, np.full_like(getattr(bad, name), np.nan))
         with pytest.raises(amp.AmpDivergenceError, match=f"non-finite {name}$"):
             amp.amp_step(bad, inst, gm)
+
+
+# ---------------------------------------------------------------------------
+# the BLAS products of amp_step
+# ---------------------------------------------------------------------------
+
+def _numpy_products(monkeypatch):
+    """Route amp_step's products through numpy's `@`, the path before dsymv."""
+    monkeypatch.setattr(amp, "_gemv", lambda A, x, trans=False: (A.T if trans else A) @ x)
+    monkeypatch.setattr(amp, "_symv", lambda Y, x: Y @ x)
+
+
+def test_blas_products_match_numpy():
+    gm, inst = _wigner_setup(60, 1.0)
+    rng = make_rng(3)
+    x_p, x_k, x_n = (rng.standard_normal(m) for m in (gm.p, gm.k, 90))
+    Y = rng.standard_normal((90, gm.p))
+    pairs = [(amp._symv(inst.Y, x_p), inst.Y @ x_p),
+             (amp._gemv(gm.W, x_k), gm.W @ x_k),
+             (amp._gemv(gm.W, x_p, trans=True), gm.W.T @ x_p),
+             (amp._gemv(Y, x_p), Y @ x_p),
+             (amp._gemv(Y, x_n, trans=True), Y.T @ x_n)]
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
+@pytest.mark.parametrize("model", sorted(SETUPS))
+def test_blas_trace_matches_numpy_path(monkeypatch, model, act):
+    gm, inst = SETUPS[model](200, 1.0, act=act)
+    run = amp.amp_wigner_run if model == "wigner" else amp.amp_wishart_run
+    cfg = amp.AmpConfig(max_iter=30, tol=1e-300)
+    new = run(inst, gm, cfg=cfg, seed=5).overlap_trace
+    _numpy_products(monkeypatch)
+    old = run(inst, gm, cfg=cfg, seed=5).overlap_trace
+    assert len(new) == len(old) == 31
+    assert np.max(np.abs(np.subtract(new, old))) <= 1e-10
+
+
+@pytest.mark.parametrize("model", sorted(SETUPS))
+def test_amp_step_copies_no_matrix(model):
+    # tracemalloc sees numpy's buffers, so also the copy f2py makes when it
+    # is handed a C-ordered matrix (the control: W, 8 p k bytes); a copy of
+    # Y at p = 2000 would be 32 MB
+    gm, inst = SETUPS[model](1000, 1.0)
+    state = amp.amp_step(_zero_state(gm, inst, model), inst, gm)
+    tracemalloc.start()
+    try:
+        amp.amp_step(state, inst, gm)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        blas.dgemv(1.0, gm.W, state.z_hat)   # negative control: W copied
+        copy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert copy_peak >= 8 * gm.p * gm.k
+    assert step_peak <= 16 * 8 * (gm.p + gm.k)   # 384 kB against 32 MB for Y
+
+
+def test_run_takes_any_memory_order():
+    gm, inst = _wigner_setup(100, 1.0)
+    cfg = amp.AmpConfig(max_iter=10)
+    res = amp.amp_wigner_run(inst, gm, cfg, seed=3)
+    res_f = amp.amp_wigner_run(replace(inst, Y=np.asfortranarray(inst.Y)),
+                               replace(gm, W=np.asfortranarray(gm.W)), cfg, seed=3)
+    assert res_f.overlap_trace == res.overlap_trace
+    assert np.array_equal(res_f.v_hat, res.v_hat)

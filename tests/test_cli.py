@@ -1,13 +1,16 @@
 import csv
+import hashlib
 import json
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from spikedgen import cli, serialize as ser
-from spikedgen.priors import LINEAR, gauss_prior, make_model, make_rng, sample_wigner
+from spikedgen import cli, priors, serialize as ser
+from spikedgen.priors import (LINEAR, gauss_prior, generate_spike, make_model, make_rng,
+                              sample_u, sample_wigner, sample_wishart)
 
 
 def run_main(args):
@@ -246,3 +249,53 @@ BAD_INPUT = {
 def test_bad_input_exits_2(tmp_path, capsys, case):
     assert run_main(BAD_INPUT[case](tmp_path)) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def _sha(*arrays):
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays]
+
+
+@pytest.mark.parametrize("model", ["wigner", "wishart"])
+@pytest.mark.parametrize("p", [7, 513, 1100])
+def test_make_instance_overlap_draws_same_instance(monkeypatch, model, p):
+    # the noise is drawn while W and the spike are; across the row-block size
+    draws = []
+
+    class CountedDraw(priors._NoiseDraw):
+        def __init__(self, *args):
+            draws.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(priors, "_NoiseDraw", CountedDraw)
+    cfg = cli.ExperimentConfig(model=model, activation="sign", alpha=2.0, delta=0.7,
+                               beta=1.5, p=p, methods=["amp"])
+    seed = 19
+    gm, inst = cli._make_instance(cfg, seed)
+    assert len(draws) == 1       # the prefetched draw became Y
+    monkeypatch.undo()
+    p, k = cfg.dims()
+    gm_ref = make_model(p, k, cfg.act(), cfg.latent_prior(), cli.splitmix64(seed, 1))
+    z, v = generate_spike(gm_ref, cli.splitmix64(seed, 2))
+    if model == "wigner":
+        ref = sample_wigner(v, cfg.delta, cli.splitmix64(seed, 3), z_star=z)
+    else:
+        u = sample_u(cfg.u_prior(), int(round(cfg.beta * p)), cli.splitmix64(seed, 4))
+        ref = sample_wishart(u, v, cfg.delta, cli.splitmix64(seed, 3),
+                             prior_u=cfg.u_prior(), z_star=z)
+        assert _sha(inst.u_star) == _sha(ref.u_star)
+    assert (_sha(gm.W, inst.z_star, inst.v_star, inst.Y)
+            == _sha(gm_ref.W, ref.z_star, ref.v_star, ref.Y))
+
+
+@pytest.mark.parametrize("model", ["wigner", "wishart"])
+def test_make_instance_spike_error_joins_worker(monkeypatch, model):
+    def failing_spike(gm, seed):
+        raise ArithmeticError("spike failed")
+
+    monkeypatch.setattr(cli, "generate_spike", failing_spike)
+    cfg = cli.ExperimentConfig(model=model, alpha=2.0, delta=0.7, p=1100,
+                               methods=["amp"])
+    baseline = threading.active_count()
+    with pytest.raises(ArithmeticError, match="spike failed"):
+        cli._make_instance(cfg, 3)
+    assert threading.active_count() == baseline

@@ -219,3 +219,16 @@ def test_sampler_draw_error_reaches_caller(monkeypatch):
         pr.sample_wigner(np.ones(1100), 0.5, seed=0)
     with pytest.raises(FloatingPointError, match="draw failed"):
         pr.sample_wishart(np.ones(1100), np.ones(30), 0.5, seed=0)
+
+
+def test_prefetched_noise_serves_only_its_seed():
+    v = pr.make_rng(1).standard_normal(600)
+    want = pr.sample_wigner(v, 0.5, seed=2).Y
+    with pr.prefetch_noise((600, 600), 3):
+        other = pr.sample_wigner(v, 0.5, seed=2).Y   # another seed: drawn afresh
+    with pr.prefetch_noise((600, 600), 2):
+        first = pr.sample_wigner(v, 0.5, seed=2).Y
+        second = pr.sample_wigner(v, 0.5, seed=2).Y  # the prefetch is used once
+    assert first is not second
+    for Y in (other, first, second):
+        assert np.array_equal(Y, want)
