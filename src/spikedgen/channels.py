@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as sp
 
-from .priors import Activation, SeparablePrior
+from .priors import Activation, SeparablePrior, gauss_legendre
 
 _LOG2PI = math.log(2.0 * math.pi)
 _LOG_UNDERFLOW = math.log(1e-300)
@@ -67,11 +67,6 @@ def hermite_grid(order: int = 64) -> QuadGrid:
         raise ValueError("Gauss-Hermite order capped at 320")
     t, w = np.polynomial.hermite.hermgauss(order)
     return QuadGrid(order=order, nodes=t, weights=w)
-
-
-@lru_cache(maxsize=16)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def _moments_relu(B, A, omega, V):
 def relu_moments_quadrature(B, A, omega, V, nodes_per_panel=_RELU_NODES_PER_PANEL):
     """Piecewise Gauss-Legendre reference path for the ReLU moments."""
     B, A, omega, V = np.broadcast_arrays(B, A, omega, V)
-    gl_t, gl_w = _legendre(nodes_per_panel)
+    gl_t, gl_w = gauss_legendre(nodes_per_panel)
     frac = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     # piece x <= 0: tilt is 1, effective Gaussian is N(omega, V)
     lo, hi = _halfline_window(omega, 1.0 / V, side=-1)

@@ -106,12 +106,19 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"methods: unknown method {m!r}")
+        for name in ("alpha", "beta", "delta"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise UsageError(f"{name}: must be finite")
+        for name in ("alpha_grid", "delta_grid"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise UsageError(f"{name}: values must be finite")
         if self.delta is not None and not self.delta > 0:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
             raise UsageError("alpha: must be nonnegative")
         for keys, build in (("latent/rho_z", self.latent_prior),
-                            ("prior_u/rho_u", self.model_kind),
+                            ("beta/prior_u/rho_u", self.model_kind),
                             ("se_*", self.se_config),
                             ("amp_*", self.amp_config)):
             try:
@@ -232,6 +239,8 @@ def _check_fits(n: int, p: int, k: int):
 def _make_instance(cfg: ExperimentConfig, seed: int):
     p, k = cfg.dims()
     n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
+    if n < 1:
+        raise UsageError(f"beta: n = round(beta p) must be at least 1 (got {n})")
     _check_fits(n, p, k)
     # the worker draws the noise while this thread draws W, the spike and u
     with prefetch_noise((n, p), splitmix64(seed, 3)):
@@ -500,8 +509,11 @@ def _cmd_compare(args):
 
 def _cmd_rmt(args):
     cfg = _build_cfg(args)
+    cfg.validate()
     if cfg.activation != "linear":
         raise UsageError("rmt: analytic spectrum requires linear activation")
+    if args.density_points < 1:
+        raise UsageError("density_points: must be at least 1")
     deltas = cfg.delta_grid or ([cfg.delta] if cfg.delta is not None else [])
     if not deltas:
         raise UsageError("delta/delta_grid: required")

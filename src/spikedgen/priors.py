@@ -30,11 +30,51 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
+from scipy.linalg import eigvalsh_tridiagonal
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based PRNG; independent streams come from distinct seeds."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules, shared by the priors, channels and rmt quadratures
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], bit for bit numpy's leggauss.
+
+    numpy takes the roots as the eigenvalues of the scaled companion matrix
+    with a dense eigensolve: O(n^3) time and, at n = 2048, a 32 MiB matrix.
+    That matrix is the symmetric tridiagonal Jacobi matrix, so its eigenvalues
+    come here from LAPACK's tridiagonal solver in O(n^2) time and O(n)
+    memory; the off-diagonal, the Newton step, the weights, the
+    symmetrisation and the normalisation are numpy's, so the result is the
+    same.  Each order is built once; the arrays are shared and read-only.
+    """
+    if order < 1:
+        raise ValueError("order must be a positive integer")
+    c = np.zeros(order + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    x = eigvalsh_tridiagonal(np.zeros(order), np.arange(1, order) * scl[:-1] * scl[1:])
+    # one Newton step on the roots, then weights 1 / (L_{n-1} L_n'), scaled
+    # against overflow
+    dy = legval(x, c)
+    df = legval(x, legder(c))
+    x -= dy / df
+    fm = legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +183,7 @@ def null_channel_moments(act: Activation, latent: SeparablePrior) -> dict:
     # ReLU: all v-moments live on x > 0; Gauss-Legendre panels on [0, 12 sigma]
     # avoid the kink (plain Gauss-Hermite only nails the even moments there)
     s = math.sqrt(rz)
-    t, w = np.polynomial.legendre.leggauss(64)
+    t, w = gauss_legendre(64)
     moments = {"v": 0.0, "vv": 0.0, "vx": 0.0}
     for lo, hi in ((0.0, 2.0 * s), (2.0 * s, 12.0 * s)):
         x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
@@ -171,6 +211,10 @@ class Wishart:
 
     beta: float = 1.0
     prior_u: SeparablePrior = field(default_factory=gauss_prior)
+
+    def __post_init__(self):
+        if not self.beta > 0:
+            raise ValueError("beta must be positive")
 
 
 # ---------------------------------------------------------------------------

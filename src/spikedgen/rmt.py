@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .priors import Wigner, Wishart
+from .priors import Wigner, Wishart, gauss_legendre
 
 EDGE_GUARD = 1e-10   # bracket guard; the edge integrand is singular at -1/z1
 _DENSITY_PREFIX = 50  # damped Silverstein steps before Newton takes over
@@ -103,7 +104,8 @@ class BaseLaw:
 
     def nodes(self, order: int):
         """Nodes t and weights of the continuous part: Int f rho = sum f(t) weight."""
-        theta, w = _gauss_legendre_0_pi(order)
+        u, w = gauss_legendre(order)
+        theta, w = 0.5 * math.pi * (u + 1.0), 0.5 * math.pi * w
         t = self.center + self.radius * np.cos(theta)
         if self.kind == "semicircle":
             return t, (2.0 / math.pi) * np.sin(theta) ** 2 * w
@@ -112,16 +114,6 @@ class BaseLaw:
         x = scale * t + (1.0 + d) / d
         c1 = scale * self.radius      # MP half-width in X coordinates
         return t, (b / (2 * math.pi)) * c1 ** 2 * np.sin(theta) ** 2 / x * w
-
-
-_GL_CACHE: dict = {}
-
-
-def _gauss_legendre_0_pi(order):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (0.5 * math.pi * (x + 1.0), 0.5 * math.pi * w)
-    return _GL_CACHE[order]
 
 
 def base_law(model: Wigner | Wishart, delta: float,
@@ -184,6 +176,20 @@ class EdgeResult:
     base: BaseLaw
     residual: float
 
+    @cached_property
+    def edge_coefficient(self) -> float:
+        """A in nu(x) ~ A sqrt(z_edge - x) just inside the edge, computed on demand.
+
+        g^{-1} is stationary at s_edge, so z - z_edge = g^{-1}''(s_edge)
+        (s - s_edge)^2 / 2 there, with
+        g^{-1}''(s) = -2/s^3 + 2 alpha Int rho(dt) t^3 / (1 + st)^3, and
+        A = sqrt(2 / |g^{-1}''(s_edge)|) / pi.
+        """
+        s = self.s_edge
+        val = self.base.integrate(lambda t: t ** 3 / (1.0 + s * t) ** 3)
+        curvature = -2.0 / s ** 3 + 2.0 * self.alpha * float(val)
+        return math.sqrt(2.0 / abs(curvature)) / math.pi
+
 
 def solve_s_edge(base: BaseLaw, alpha: float) -> EdgeResult:
     """Edge of the bulk: root of the edge equation in (-1/z1, 0).
@@ -198,7 +204,12 @@ def solve_s_edge(base: BaseLaw, alpha: float) -> EdgeResult:
     lo = -1.0 / base.z1 * (1.0 - EDGE_GUARD)
     hi = -EDGE_GUARD
     f = lambda s: edge_equation_residual(base, alpha, s)
-    s_edge = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    try:
+        s_edge = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    except ValueError:
+        # no sign change: alpha so large that the root lies inside the guard
+        raise RuntimeError(f"edge equation has no root in [{lo:.3g}, {hi:.3g}] "
+                           f"at alpha = {alpha:.6g}") from None
     z_edge = silverstein_g_inverse(base, alpha, s_edge)
     lam = z_edge if alpha <= 1 else max(0.0, z_edge)
     return EdgeResult(s_edge=float(s_edge), lambda_max=float(lam),

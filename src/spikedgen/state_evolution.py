@@ -263,9 +263,10 @@ def mutual_information(delta: float, alpha: float, act: Activation,
         raise ValueError("mutual information requires alpha > 0")
     cfg = cfg or SEConfig(init="informative")
     pp = se_fixed_point(cfg, delta, alpha, act, latent, Wigner())
-    if not pp.converged and pp.runs[cfg.init]["residual"] > 1e-6:
+    if not pp.converged and not pp.runs[cfg.init]["residual"] <= 1e-6:
         # i_RS is stationary at the extremizer, so a near-converged state only
-        # costs second-order error; anything drifting harder is a real failure
+        # costs second-order error; anything drifting harder (or nan) is a
+        # real failure
         raise RuntimeError(f"state evolution did not converge at delta={delta}")
     rv = rho_v(act, latent)
     qv, qz, qh = pp.q_v_star, pp.q_z_star, pp.q_hat_z_star

@@ -242,7 +242,33 @@ BAD_INPUT = {
                                          "--delta", "1"],
     "wishart_instance_too_large": lambda t: ["amp", "--model", "wishart", "--beta", "1e7",
                                              "--alpha", "2", "--p", "1000", "--delta", "1"],
+    # beta must be positive; n = round(beta p) must be at least 1
+    "rmt_wishart_beta_zero": lambda t: ["rmt", "--model", "wishart", "--beta", "0",
+                                        "--alpha", "2", "--delta", "1"],
+    "amp_wishart_beta_zero": lambda t: ["amp", "--model", "wishart", "--beta", "0",
+                                        "--alpha", "2", "--delta", "1", "--p", "50"],
+    "se_wishart_beta_zero": lambda t: ["se", "--model", "wishart", "--beta", "0",
+                                       "--alpha", "2", "--delta", "1"],
+    "amp_wishart_no_rows": lambda t: ["amp", "--model", "wishart", "--beta", "0.001",
+                                      "--alpha", "2", "--delta", "1", "--p", "50"],
+    # non-finite alpha, delta and grid values
+    "se_alpha_inf": lambda t: ["se", "--alpha", "inf", "--delta", "1"],
+    "rmt_alpha_inf": lambda t: ["rmt", "--alpha", "inf", "--delta", "1"],
+    "rmt_delta_inf": lambda t: ["rmt", "--alpha", "2", "--delta", "inf"],
+    "sweep_alpha_grid_nan": lambda t: ["sweep", "--alpha-grid", "1,nan", "--delta", "1"],
+    "rmt_density_points_negative": lambda t: ["rmt", "--alpha", "2", "--delta", "1",
+                                              "--density-points", "-3",
+                                              "--density-out", str(t / "f.csv")],
 }
+
+
+@pytest.mark.parametrize("argv", [["rmt", "--alpha", "1e308", "--delta", "1"],
+                                  ["mi", "--alpha", "1e308", "--delta", "1"]],
+                         ids=["rmt", "mi"])
+def test_huge_alpha_fails_cleanly(capsys, argv):
+    assert run_main(argv) in (2, 3)
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))

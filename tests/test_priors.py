@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -36,6 +39,9 @@ def test_prior_validation():
         pr.SeparablePrior("gauss", -1.0)
     with pytest.raises(ValueError):
         pr.SeparablePrior("rademacher", 2.0)
+    for beta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="beta"):
+            pr.Wishart(beta=beta)
 
 
 def test_prior_moments():
@@ -232,3 +238,66 @@ def test_prefetched_noise_serves_only_its_seed():
     assert first is not second
     for Y in (other, first, second):
         assert np.array_equal(Y, want)
+
+
+GL_ORDERS = [*range(1, 71), 100, 128, 256, 512, 1024, 2048]
+
+
+@pytest.mark.parametrize("order", GL_ORDERS)
+def test_gauss_legendre_bit_identical_to_leggauss(order):
+    x, w = pr.gauss_legendre(order)
+    x_np, w_np = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(x, x_np) and np.array_equal(w, w_np)
+
+
+def test_gauss_legendre_cached_and_read_only():
+    x, w = pr.gauss_legendre(256)
+    again = pr.gauss_legendre(256)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        pr.gauss_legendre(0)
+
+
+def test_gauss_legendre_needs_no_dense_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    pr.gauss_legendre.cache_clear()
+    for order in (256, 512, 1024, 2048):
+        x, w = pr.gauss_legendre(order)
+        assert x.shape == w.shape == (order,)
+        assert abs(w.sum() - 2.0) < 1e-13
+
+
+def test_gauss_legendre_memory_is_linear():
+    pr.gauss_legendre.cache_clear()
+    tracemalloc.start()
+    try:
+        pr.gauss_legendre(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20            # a dense 2048 x 2048 companion is 32 MiB
+
+
+def test_gauss_legendre_rss_growth_in_fresh_interpreter():
+    """Building the RMT orders 256 to 2048 grows ru_maxrss by under 8 MiB."""
+    code = (
+        "import resource\n"
+        "from spikedgen import rmt\n"
+        "from spikedgen.priors import gauss_legendre\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for order in (256, 512, 1024, 2048):\n"
+        "    gauss_legendre(order)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    growth_kib = int(out.stdout.split()[-1])      # Linux reports ru_maxrss in KiB
+    assert growth_kib < 8 * 1024

@@ -6,6 +6,8 @@ import pytest
 from spikedgen import rmt, state_evolution as se
 from spikedgen.priors import LINEAR, Wigner, Wishart, gauss_prior, make_rng
 
+from rmt_bounds import tw_edge
+
 GAUSS1 = gauss_prior(1.0)
 
 
@@ -58,6 +60,29 @@ def test_wishart_law_edge_and_atom():
     # mean of the shifted MP law: beta/(1+delta) * E[MP] - beta/delta; E[MP] = 1
     want_mean = beta / (1 + delta) - beta / delta
     assert float(bl.integrate(lambda t: t)) == pytest.approx(want_mean, abs=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.8, 1.5, 2.5, 4.0])
+def test_edge_coefficient_matches_density_extrapolation(delta):
+    """A = sqrt(2/|g^{-1}''(s_edge)|)/pi against the slope tw_edge reads off the density."""
+    edge = rmt.solve_s_edge(rmt.base_law(Wigner(), delta), 2.0)
+    _, sigma = tw_edge(2.0, delta, 1)        # sigma_TW = (pi A)^(-2/3) at k = 1
+    assert edge.edge_coefficient == pytest.approx(sigma ** -1.5 / math.pi, rel=1e-4)
+
+
+def test_edge_coefficient_wishart_matches_density():
+    base = rmt.base_law(Wishart(beta=1.5), 1.0)
+    edge = rmt.solve_s_edge(base, 2.0)
+    h = np.array([1e-3, 2e-3])
+    bd = rmt.bulk_density(base, 2.0, edge.z_edge - h)
+    a_h = bd.nu / np.sqrt(h)
+    assert bd.converged.all()
+    assert edge.edge_coefficient == pytest.approx(2.0 * a_h[0] - a_h[1], rel=1e-4)
+
+
+def test_edge_huge_alpha_is_a_numerical_failure():
+    with pytest.raises(RuntimeError, match="no root"):
+        rmt.solve_s_edge(rmt.base_law(Wigner(), 1.0), 1e308)
 
 
 def test_delta_pos_support_sign():
