@@ -82,7 +82,6 @@ class ExperimentConfig:
     p: int | None = None
     k: int | None = None
     seed: int = 0
-    seeds: int = 1
     methods: list[str] = field(default_factory=lambda: ["se"])
     out: str | None = None
     workers: int = 1
@@ -281,6 +280,9 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             pp = se_mod.se_fixed_point(cfg.se_config(), cfg.delta, cfg.alpha,
                                        act, latent, cfg.model_kind())
             sel = pp.runs[pp.init_used]
+            if not all(map(math.isfinite, sel["state"].as_tuple())):
+                raise FloatingPointError(f"state evolution ended in a non-finite state "
+                                         f"at alpha={cfg.alpha}, delta={cfg.delta}")
             m = {"q_v": pp.q_v_star, "q_z": pp.q_z_star, "mmse_v": pp.mmse_v,
                  "converged": pp.converged, "iters": pp.iters,
                  "residual": sel["residual"], "solver": sel["solver"],

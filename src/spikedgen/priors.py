@@ -168,32 +168,21 @@ def rho_v(act: Activation, latent: SeparablePrior) -> float:
     return float(np.sum(w * act.phi(x) ** 2) / math.sqrt(math.pi))
 
 
-def null_channel_moments(act: Activation, latent: SeparablePrior) -> dict:
-    """Moments of (v, x) under the null measure x ~ N(0, rho_z), v = phi(x).
+def null_channel_moments(act: Activation, latent: SeparablePrior) -> tuple[float, float]:
+    """(E[v^2], E[vx]) under the null measure x ~ N(0, rho_z), v = phi(x).
 
-    Returns E[v], E[v^2], E[vx], E[x^2]; these feed the stability Jacobian and
-    the LAMP coefficients.
+    These two numbers are the whole linearisation at the uninformative fixed
+    point: the stability Jacobian, Delta_c and the LAMP coefficients.  That
+    point exists only when E[v] = 0 (phi odd); ReLU has none.
     """
+    if not act.zero_mean_output:
+        raise ValueError(f"{act.kind}: uninformative fixed point does not exist "
+                         "(E_{Q_out^0}[v] != 0)")
     rz = latent.rho
     if act.kind == "linear":
-        return {"v": 0.0, "vv": rz, "vx": rz, "xx": rz}
-    if act.kind == "sign":
-        # E|x| = sqrt(2 rho_z / pi)
-        return {"v": 0.0, "vv": 1.0, "vx": math.sqrt(2.0 * rz / math.pi), "xx": rz}
-    # ReLU: all v-moments live on x > 0; Gauss-Legendre panels on [0, 12 sigma]
-    # avoid the kink (plain Gauss-Hermite only nails the even moments there)
-    s = math.sqrt(rz)
-    t, w = gauss_legendre(64)
-    moments = {"v": 0.0, "vv": 0.0, "vx": 0.0}
-    for lo, hi in ((0.0, 2.0 * s), (2.0 * s, 12.0 * s)):
-        x = 0.5 * (hi + lo) + 0.5 * (hi - lo) * t
-        ww = 0.5 * (hi - lo) * w * np.exp(-0.5 * x * x / rz) / math.sqrt(2 * math.pi * rz)
-        v = act.phi(x)
-        moments["v"] += float(np.sum(ww * v))
-        moments["vv"] += float(np.sum(ww * v * v))
-        moments["vx"] += float(np.sum(ww * v * x))
-    moments["xx"] = rz
-    return moments
+        return rz, rz
+    # sign: E|x| = sqrt(2 rho_z / pi)
+    return 1.0, math.sqrt(2.0 * rz / math.pi)
 
 
 # ---------------------------------------------------------------------------

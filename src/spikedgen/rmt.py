@@ -388,6 +388,3 @@ def epsilon_overlap(alpha: float, delta: float) -> float:
     h = s_hierarchy(base, alpha, 1.0)
     return float(alpha * delta ** 2 / h.s12)
 
-
-def lambda_max_curve(alpha: float, deltas) -> list[EdgeResult]:
-    return [solve_s_edge(base_law(Wigner(), d), alpha) for d in np.asarray(deltas)]

@@ -48,14 +48,11 @@ class LampCoeffs:
 def lamp_coefficients(act: Activation, latent: SeparablePrior,
                       model: Wigner | Wishart = Wigner()) -> LampCoeffs:
     """Moments of P_z and Q_out^0 entering the linearized-AMP operator."""
-    if not act.zero_mean_output:
-        raise ValueError(f"{act.kind}: LAMP needs E_(Q_out^0)[v] = 0 "
-                         "(no uninformative fixed point to linearize around)")
-    m = null_channel_moments(act, latent)
+    vv, vx = null_channel_moments(act, latent)
     d = model.prior_u.rho if isinstance(model, Wishart) else None
     # vx * (vx / rho) rather than vx^2 / rho: for the linear channel vx = rho,
     # and this order gives b == a exactly instead of b > a by one ulp
-    return LampCoeffs(a=m["vv"], b=m["vx"] * (m["vx"] / latent.rho), d=d)
+    return LampCoeffs(a=vv, b=vx * (vx / latent.rho), d=d)
 
 
 @dataclass

@@ -13,7 +13,8 @@ MMSE_v = rho_v - q_v* at the fixed point, found by `se_fixed_point` as a
 root of F(s) = T0(s) - s (T0 the undamped map) after a short damped prefix,
 with damping only as the counted fallback; convergence means |F|_inf < tol.
 The phase transition Delta_c is where the spectral radius of the Jacobian of
-this map at the all-zeros fixed point crosses one.
+this map at the all-zeros fixed point crosses one, taken in closed form from
+det(I - J) = 0 and the two null moments E[v^2], E[vx].
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _TRIVIAL = 1e-12  # a deflated solve ending below this q_v found the trivial roo
 # scale gives it an absolute floor of about tol * _STOP_SHIFT, small enough
 # that both inits still agree to about 1e-15 at Delta = Delta_c
 _STOP_SHIFT = 1e-10
+_EPS_INIT = 1e-6     # every overlap of the uninformative init
+_QUAD_ORDER = 64     # quadrature order of Psi_out and Psi_z
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,6 @@ class SEConfig:
     tol: float = 1e-10
     max_iter: int = 5000
     init: str = "uninformative"   # or "informative"
-    eps_init: float = 1e-6
-    quad_order: int = 64
 
     def __post_init__(self):
         if not (0 <= self.damping < 1):
@@ -71,8 +72,6 @@ class SEConfig:
             raise ValueError("max_iter must be at least 1")
         if self.init not in ("uninformative", "informative"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.eps_init <= 0:
-            raise ValueError("eps_init must be positive for the uninformative init")
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def _clamp_state(q_v, q_z, q_hat_z, rv, rz, q_u=None, ru=None):
 
 def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
             latent: SeparablePrior, model: Wigner | Wishart = Wigner(),
-            damping: float = 0.0, order: int = 64) -> OverlapState:
+            damping: float = 0.0) -> OverlapState:
     """One synchronous update of the SE map.
 
     The model enters only through Psi_out's first argument, q_v / Delta for
@@ -117,25 +116,26 @@ def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
     """
     wishart = isinstance(model, Wishart)
     x = model.beta * state.q_u / delta if wishart else state.q_v / delta
-    gx, gy = ch.psi_out_grads(act, latent, x, state.q_z, order=order,
+    gx, gy = ch.psi_out_grads(act, latent, x, state.q_z, order=_QUAD_ORDER,
                               adaptive=False)
     q_hat_new = 2.0 * alpha * gy
     q_hat = (1.0 - damping) * q_hat_new + damping * state.q_hat_z
-    q_z = ch.psi_z_grad2(latent, q_hat, order=order)
+    q_z = ch.psi_z_grad2(latent, q_hat, order=_QUAD_ORDER)
     q_v = 2.0 * gx
     q_u = ru = None
     if wishart:
-        q_u = ch.psi_z_grad2(model.prior_u, state.q_v / delta, order=order)
+        q_u = ch.psi_z_grad2(model.prior_u, state.q_v / delta, order=_QUAD_ORDER)
         ru = model.prior_u.rho
     q_v, q_z, q_hat, q_u = _clamp_state(q_v, q_z, q_hat, rho_v(act, latent),
                                         latent.rho, q_u, ru)
     return OverlapState(q_v=q_v, q_z=q_z, q_hat_z=q_hat, q_u=q_u)
 
 
-def _init_state(init: str, eps: float, rv: float, rz: float,
+def _init_state(init: str, rv: float, rz: float,
                 ru: float | None = None) -> OverlapState:
     """`ru` is rho_u for Wishart and None for Wigner, which has no q_u."""
     if init == "uninformative":
+        eps = _EPS_INIT
         return OverlapState(eps, eps, 0.0, None if ru is None else eps)
     keep = 1.0 - 1e-6
     return OverlapState(rv * keep, rz * keep, 0.0, None if ru is None else ru * keep)
@@ -189,7 +189,7 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     scale = np.array((rv, rz, 1.0) if ru is None else (rv, rz, 1.0, ru))
     shift = _STOP_SHIFT * scale
     damped = lambda s: se_step(s, delta, alpha, act, latent, model,
-                               damping=cfg.damping, order=cfg.quad_order)
+                               damping=cfg.damping)
 
     def project(x) -> OverlapState:
         q_u = None if ru is None else float(x[3])
@@ -199,18 +199,19 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     def f(x):
         nonlocal evals
         evals += 1
-        new = se_step(project(x), delta, alpha, act, latent, model,
-                      order=cfg.quad_order)
+        new = se_step(project(x), delta, alpha, act, latent, model)
         return np.subtract(new.as_tuple(), x)
 
     def residual(state: OverlapState) -> float:
         return float(np.abs(f(state.as_tuple())).max())
 
-    deflate = (act.zero_mean_output and spectral_radius(
-        jacobian_at_zero(delta, alpha, act, latent, model)) > 1.0 + 1e-12)
+    # the margin keeps Delta = Delta_c itself undeflated: at alpha = 2 the sign
+    # closed form lies one ulp above the literal 1 + 8/pi^2
+    deflate = (act.zero_mean_output
+               and delta < delta_c(alpha, act, latent, model) * (1.0 - 1e-12))
     runs = {}
     for init in ("uninformative", "informative"):
-        state = _init_state(init, cfg.eps_init, rv, rz, ru)
+        state = _init_state(init, rv, rz, ru)
         for _ in range(_PREFIX):
             state = damped(state)
         evals = _PREFIX
@@ -271,8 +272,8 @@ def mutual_information(delta: float, alpha: float, act: Activation,
     rv = rho_v(act, latent)
     qv, qz, qh = pp.q_v_star, pp.q_z_star, pp.q_hat_z_star
     i_rs = (rv ** 2 / (4.0 * delta) + qv ** 2 / (4.0 * delta)
-            + (0.5 * qz * qh - ch.psi_z(latent, qh, order=cfg.quad_order)) / alpha
-            - ch.psi_out(act, latent, qv / delta, qz, order=cfg.quad_order))
+            + (0.5 * qz * qh - ch.psi_z(latent, qh, order=_QUAD_ORDER)) / alpha
+            - ch.psi_out(act, latent, qv / delta, qz, order=_QUAD_ORDER))
     return i_rs, qv
 
 
@@ -285,23 +286,19 @@ def jacobian_at_zero(delta: float, alpha: float, act: Activation,
                      model: Wigner | Wishart = Wigner()) -> np.ndarray:
     """Jacobian of the SE map at the all-zeros fixed point.
 
-    Requires the zero-mean conditions E_{P_z}[z] = 0 and E_{Q_out^0}[v] = 0;
-    ReLU violates the latter so the uninformative fixed point does not exist.
+    Its entries come from the null moments E[v^2] and E[vx]; the q_z -> q_hat_z
+    entries carry (E[x^2] - rho_z)^2 = 0 and vanish.  Requires E_{Q_out^0}[v] = 0:
+    ReLU violates it, so the uninformative fixed point does not exist.
     """
-    if not act.zero_mean_output:
-        raise ValueError(
-            f"{act.kind}: uninformative fixed point does not exist "
-            "(E_{Q_out^0}[v] != 0)")
-    m = null_channel_moments(act, latent)
+    vv, vx = null_channel_moments(act, latent)
     rz = latent.rho
-    a_vv = m["vv"] ** 2 / delta
-    a_vx = m["vx"] ** 2
-    a_xx = (m["xx"] - rz) ** 2 / rz ** 2
+    a_vv = vv ** 2 / delta
+    a_vx = vx ** 2
     if isinstance(model, Wigner):
         # rows/cols ordered (q_v, q_hat_z, q_z)
         return np.array([
             [a_vv, 0.0, a_vx / rz ** 2],
-            [alpha * a_vx / delta, 0.0, alpha * a_xx],
+            [alpha * a_vx / delta, 0.0, 0.0],
             [0.0, rz ** 2, 0.0],
         ])
     beta = model.beta
@@ -310,7 +307,7 @@ def jacobian_at_zero(delta: float, alpha: float, act: Activation,
     return np.array([
         [0.0, ru ** 2 / delta, 0.0, 0.0],
         [beta * a_vv, 0.0, 0.0, a_vx / rz ** 2],
-        [beta * alpha * a_vx / delta, 0.0, 0.0, alpha * a_xx],
+        [beta * alpha * a_vx / delta, 0.0, 0.0, 0.0],
         [0.0, 0.0, rz ** 2, 0.0],
     ])
 
@@ -321,42 +318,21 @@ def spectral_radius(m: np.ndarray) -> float:
 
 
 def delta_c(alpha: float, act: Activation, latent: SeparablePrior,
-            model: Wigner | Wishart = Wigner(), tol: float = 1e-9) -> float:
-    """Critical noise: bisection on spectral_radius(Jacobian) - 1.
+            model: Wigner | Wishart = Wigner()) -> float:
+    """Critical noise: the Delta at which the all-zeros fixed point loses stability.
 
-    Ties at radius exactly one resolve toward instability (Delta_c is the
-    infimum of the stable region).
+    `jacobian_at_zero` is entrywise nonnegative and no entry grows with Delta,
+    so by Perron-Frobenius its spectral radius is one exactly where
+    det(I - J) = 0.  Its cycles through q_v give, with m2 = E[v^2] and
+    m1 = E[vx],
+
+        Wigner:  det(I - J) = 1 - (m2^2 + alpha m1^4) / Delta
+        Wishart: det(I - J) = 1 - rho_u^2 beta (m2^2 + alpha m1^4) / Delta^2,
+
+    so Delta_c = m2^2 + alpha m1^4, or rho_u sqrt(beta (m2^2 + alpha m1^4)).
     """
-    def radius(d):
-        return spectral_radius(jacobian_at_zero(d, alpha, act, latent, model))
-
-    lo, hi = 0.5, 2.0
-    while radius(hi) >= 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("no stable region found")
-    while radius(lo) < 1.0:
-        lo /= 2.0
-        if lo < 1e-12:
-            raise RuntimeError("no unstable region found")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if radius(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def delta_c_closed_form(alpha: float, act: Activation,
-                        model: Wigner | Wishart = Wigner()) -> float:
-    """Known thresholds for unit-variance Gaussian latent."""
-    if act.kind == "linear":
-        base = 1.0 + alpha
-    elif act.kind == "sign":
-        base = 1.0 + 4.0 * alpha / math.pi ** 2
-    else:
-        raise ValueError(f"no closed-form threshold for {act.kind}")
+    vv, vx = null_channel_moments(act, latent)
+    wigner_c = vv ** 2 + alpha * vx ** 4
     if isinstance(model, Wishart):
-        return math.sqrt(model.beta * base)
-    return base
+        return model.prior_u.rho * math.sqrt(model.beta * wigner_c)
+    return wigner_c

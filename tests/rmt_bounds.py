@@ -21,8 +21,6 @@ at size p its statistics are not small constants over p:
 
 import math
 
-import numpy as np
-
 from spikedgen import rmt
 from spikedgen.cli import splitmix64
 from spikedgen.priors import Wigner
@@ -44,15 +42,7 @@ def overlap_bound(p: int) -> float:
 def tw_edge(alpha: float, delta: float, k: int) -> tuple[float, float]:
     """(lambda_max, sigma_TW) of the linear-Wigner LAMP bulk with k non-zero eigenvalues.
 
-    A is read from `rmt.bulk_density` just inside the edge and extrapolated
-    linearly in the distance h (nu / sqrt(h) = A + O(h)).
+    A is the analytic square-root edge coefficient `EdgeResult.edge_coefficient`.
     """
-    base = rmt.base_law(Wigner(), delta)
-    lam_max = rmt.solve_s_edge(base, alpha).lambda_max
-    h = np.array([1e-3, 2e-3])
-    bd = rmt.bulk_density(base, alpha, lam_max - h)
-    if not bd.converged.all():
-        raise RuntimeError(f"bulk density did not converge next to the edge at Delta={delta}")
-    a_h = bd.nu / np.sqrt(h)
-    A = 2.0 * a_h[0] - a_h[1]
-    return lam_max, (math.pi * A) ** (-2.0 / 3.0) * k ** (-2.0 / 3.0)
+    edge = rmt.solve_s_edge(rmt.base_law(Wigner(), delta), alpha)
+    return edge.lambda_max, (math.pi * edge.edge_coefficient) ** (-2.0 / 3.0) * k ** (-2.0 / 3.0)

@@ -53,7 +53,7 @@ def test_criterion_1_threshold_formulas():
                                    - math.sqrt(beta * (1 + 4 * alpha / math.pi ** 2))))
     elapsed = time.time() - t0
     report(1, worst <= 1e-3 and elapsed < 10.0, t0,
-           f"max |bisection - closed form| = {worst:.2e}, runtime {elapsed:.1f}s < 10s")
+           f"max |closed form - literature formula| = {worst:.2e}, runtime {elapsed:.1f}s < 10s")
 
 
 # -- 6 (cheap analytic criteria before the big simulations) ------------------
@@ -330,7 +330,7 @@ def _amp_job(args):
     # the q_v plateau is reached long before elementwise convergence, and in
     # the null phase v_hat only shrinks geometrically (relative change stalls),
     # so above threshold a short run suffices for the overlap readout
-    dc = se.delta_c_closed_form(2.0, act)
+    dc = se.delta_c(2.0, act, GAUSS1)
     acfg = amp.AmpConfig(max_iter=80 if delta < dc else 40, tol=1e-6)
     res = amp.amp_wigner_run(inst, gm, acfg, seed=cli.splitmix64(seed0, 4))
     return kind, delta, abs(res.overlap_trace[-1])

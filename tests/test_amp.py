@@ -131,7 +131,7 @@ def _correlated_init(inst, gm, weight, seed):
 def test_se_tracking_and_onsager_ablation(odd_act):
     """AMP overlap follows the SE trajectory; dropping the Onsager term breaks it."""
     k = 2000
-    delta = 0.5 * se.delta_c_closed_form(2.0, odd_act)
+    delta = 0.5 * se.delta_c(2.0, odd_act, GAUSS1)
     gm, inst = _wigner_setup(k, delta, odd_act)
     tol = 5 / math.sqrt(k)
     steps = 20

@@ -263,8 +263,9 @@ BAD_INPUT = {
 
 
 @pytest.mark.parametrize("argv", [["rmt", "--alpha", "1e308", "--delta", "1"],
-                                  ["mi", "--alpha", "1e308", "--delta", "1"]],
-                         ids=["rmt", "mi"])
+                                  ["mi", "--alpha", "1e308", "--delta", "1"],
+                                  ["se", "--alpha", "1e308", "--delta", "1"]],
+                         ids=["rmt", "mi", "se"])
 def test_huge_alpha_fails_cleanly(capsys, argv):
     assert run_main(argv) in (2, 3)
     err = capsys.readouterr().err

@@ -162,14 +162,16 @@ def test_spike_covariance_matches_wwt(gauss1):
 
 
 def test_null_channel_moments_closed_forms(gauss1):
-    m = pr.null_channel_moments(pr.LINEAR, gauss1)
-    assert m["vx"] == pytest.approx(1.0) and m["vv"] == pytest.approx(1.0)
-    m = pr.null_channel_moments(pr.SIGN, gauss1)
-    assert m["vx"] == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
-    m = pr.null_channel_moments(pr.RELU, gauss1)
-    assert m["v"] == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
-    assert m["vv"] == pytest.approx(0.5, abs=1e-12)
-    assert m["vx"] == pytest.approx(0.5, abs=1e-12)
+    # (E[v^2], E[vx]) with x ~ N(0, rho_z)
+    assert pr.null_channel_moments(pr.LINEAR, gauss1) == (1.0, 1.0)
+    assert pr.null_channel_moments(pr.LINEAR, pr.gauss_prior(2.5)) == (2.5, 2.5)
+    vv, vx = pr.null_channel_moments(pr.SIGN, gauss1)
+    assert vv == 1.0 and vx == pytest.approx(math.sqrt(2 / math.pi), abs=1e-12)
+    vv, vx = pr.null_channel_moments(pr.SIGN, pr.gauss_prior(2.5))
+    assert vv == 1.0 and vx == pytest.approx(math.sqrt(5 / math.pi), abs=1e-12)
+    # ReLU has E[v] = 1/sqrt(2 pi) != 0: nothing to linearise around
+    with pytest.raises(ValueError, match="uninformative fixed point"):
+        pr.null_channel_moments(pr.RELU, gauss1)
 
 
 def _dense_wigner(v, delta, seed):

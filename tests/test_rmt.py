@@ -64,10 +64,20 @@ def test_wishart_law_edge_and_atom():
 
 @pytest.mark.parametrize("delta", [0.8, 1.5, 2.5, 4.0])
 def test_edge_coefficient_matches_density_extrapolation(delta):
-    """A = sqrt(2/|g^{-1}''(s_edge)|)/pi against the slope tw_edge reads off the density."""
-    edge = rmt.solve_s_edge(rmt.base_law(Wigner(), delta), 2.0)
+    """A = sqrt(2/|g^{-1}''(s_edge)|)/pi against the slope of the density at the edge.
+
+    nu / sqrt(h) = A + O(h) at distance h inside the edge, extrapolated
+    linearly from h = 1e-3 and 2e-3.
+    """
+    base = rmt.base_law(Wigner(), delta)
+    edge = rmt.solve_s_edge(base, 2.0)
+    h = np.array([1e-3, 2e-3])
+    bd = rmt.bulk_density(base, 2.0, edge.lambda_max - h)
+    assert bd.converged.all()
+    a_h = bd.nu / np.sqrt(h)
+    assert edge.edge_coefficient == pytest.approx(2.0 * a_h[0] - a_h[1], rel=1e-4)
     _, sigma = tw_edge(2.0, delta, 1)        # sigma_TW = (pi A)^(-2/3) at k = 1
-    assert edge.edge_coefficient == pytest.approx(sigma ** -1.5 / math.pi, rel=1e-4)
+    assert sigma == (math.pi * edge.edge_coefficient) ** (-2.0 / 3.0)
 
 
 def test_edge_coefficient_wishart_matches_density():

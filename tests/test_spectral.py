@@ -247,7 +247,7 @@ def test_lamp_not_worse_than_pca():
     # mean overlap over seeds: LAMP >= PCA - 0.02 on a small grid
     p, k = 1500, 750
     for act in (LINEAR, SIGN):
-        dc = se.delta_c_closed_form(2.0, act)
+        dc = se.delta_c(2.0, act, GAUSS1)
         for ratio in (0.4, 0.9):
             delta = ratio * dc
             lamp_o, pca_o = [], []

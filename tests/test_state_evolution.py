@@ -88,7 +88,7 @@ def test_fixed_point_vs_closed_form_oracle():
 
 def test_one_step_decay_above_threshold(odd_act):
     # at Delta >> Delta_c the overlap decays from the informative side
-    delta = 3.0 * se.delta_c_closed_form(2.0, odd_act)
+    delta = 3.0 * se.delta_c(2.0, odd_act, GAUSS1)
     st = se.OverlapState(0.5 * rho_v(odd_act, GAUSS1), 0.4, 0.1)
     for _ in range(5):
         new = se.se_step(st, delta, 2.0, odd_act, GAUSS1)
@@ -121,7 +121,7 @@ def test_monotone_in_delta(any_act):
 
 
 def test_trivial_point_stable_above_delta_c(odd_act):
-    dc = se.delta_c_closed_form(2.0, odd_act)
+    dc = se.delta_c(2.0, odd_act, GAUSS1)
     pp = se.se_fixed_point(se.SEConfig(), 1.4 * dc, 2.0, odd_act, GAUSS1)
     assert pp.q_v_star <= 1e-6
 
@@ -335,6 +335,23 @@ def test_delta_c_closed_forms_wishart():
             math.sqrt(beta * 2), abs=1e-8)
         assert se.delta_c(2.0, SIGN, GAUSS1, model) == pytest.approx(
             math.sqrt(beta * (1 + 8 / math.pi ** 2)), abs=1e-8)
+
+
+RADIUS_LATENTS = [gauss_prior(0.4), GAUSS1, gauss_prior(2.5), rademacher_prior()]
+RADIUS_MODELS = [Wigner()] + [Wishart(beta=b, prior_u=gauss_prior(r))
+                              for b in (0.5, 1.0, 2.0) for r in (0.5, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
+def test_delta_c_is_unit_spectral_radius(act):
+    # the closed form sits on rho(J) = 1 to rounding, where a bisection
+    # stops only within its own tolerance
+    for latent in RADIUS_LATENTS:
+        for model in RADIUS_MODELS:
+            for alpha in np.geomspace(1e-9, 100.0, 14):
+                dc = se.delta_c(alpha, act, latent, model)
+                j = se.jacobian_at_zero(dc, alpha, act, latent, model)
+                assert se.spectral_radius(j) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_delta_c_crossing_consistency():
