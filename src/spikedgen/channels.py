@@ -10,13 +10,17 @@ collapses and every moment of Q_out is a one-dimensional integral over x:
 closed form for the linear channel (Gaussian convolution), erf-based closed
 forms for sign (stable down to V -> 0), and truncated-Gaussian closed forms
 for ReLU (piecewise Gauss-Legendre split at the kink is the reference path).
+Each channel has one moment core, giving log Z_out, E[v], E[x] and, on
+demand, the two variances.  `out_moments` is the checked array entry point:
+input checks, the core, then the variances that AMP reads.
 
 The free-entropy integrals Psi_z / Psi_out and their gradients are
 Gauss-Hermite expectations over the effective Gaussian fields; gradients use
 the moment identities 2 d_x Psi_out = E[Z_out f_v^2] and
 2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.  The linear
-channel's Psi_out gradients are closed form; the (xi, eta) grid serves the
-sign and ReLU gradients and Psi_out itself.
+channel's Psi_out and its gradients are closed form; the (xi, eta) grid
+serves sign and ReLU, whose quadratures check (x, y) once as scalars and then
+call the moment core directly, without variances or array scans.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ class LatentParams:
 # ---------------------------------------------------------------------------
 # output-channel moments
 # ---------------------------------------------------------------------------
+# Each core returns (log Z_out, E[v], E[x], variances); variances() gives
+# (Var[v], Var[x]), which only out_moments computes.
 
 def _moments_linear(B, A, omega, V):
     c2 = A + 1.0 / V
@@ -109,7 +115,7 @@ def _moments_linear(B, A, omega, V):
     m = c1 / c2
     logz = -0.5 * np.log(V * A + 1.0) + 0.5 * c1 * c1 / c2 - 0.5 * omega * omega / V
     var = 1.0 / c2
-    return logz, m, var + np.zeros_like(m), m, var + np.zeros_like(m)
+    return logz, m, m, lambda: (var + np.zeros_like(m), var + np.zeros_like(m))
 
 
 def _moments_sign(B, A, omega, V):
@@ -117,21 +123,17 @@ def _moments_sign(B, A, omega, V):
     a0 = omega / s
     lp = sp.log_ndtr(a0)          # log P(x > 0)
     ln = sp.log_ndtr(-a0)
-    log_wp = B + lp
-    log_wn = -B + ln
-    logz = -0.5 * A + np.logaddexp(log_wp, log_wn)
+    log_den = np.logaddexp(B + lp, -B + ln)
+    logz = -0.5 * A + log_den
     v_mean = np.tanh(B + 0.5 * (lp - ln))
-    v_var = 1.0 - v_mean ** 2
     # tau = sqrt(V) phi(a0) (e^B - e^-B) / (e^B p+ + e^-B p-), in log space
     absB = np.abs(B)
     with np.errstate(divide="ignore"):
         log_num = absB + np.log1p(-np.exp(-2.0 * absB))
-    log_den = np.logaddexp(log_wp, log_wn)
     log_phi = -0.5 * a0 * a0 - 0.5 * _LOG2PI
     tau = np.sign(B) * s * np.exp(log_phi + log_num - log_den)
     x_mean = omega + tau
-    x_var = V - tau * (omega + tau)
-    return logz, v_mean, v_var, x_mean, x_var
+    return logz, v_mean, x_mean, lambda: (1.0 - v_mean ** 2, V - tau * x_mean)
 
 
 # ReLU quadrature: each half-line carries an exact Gaussian integrand, so the
@@ -184,11 +186,9 @@ def _moments_relu(B, A, omega, V):
 
     x <= 0 carries unit tilt (v = 0), x >= 0 carries the Gaussian tilt with
     precision c2 = A + 1/V and mean m = (B + omega/V)/c2; the two masses are
-    combined in log space.
+    combined in log space.  Only B and omega vary over a field grid, so the
+    scalar A and V stay scalars and their terms are computed once.
     """
-    B, A, omega, V = np.broadcast_arrays(
-        np.asarray(B, float), np.asarray(A, float),
-        np.asarray(omega, float), np.asarray(V, float))
     s = np.sqrt(V)
     a0 = omega / s
     c2 = A + 1.0 / V
@@ -207,14 +207,16 @@ def _moments_relu(B, A, omega, V):
     rp = _mills(mt)                    # phi/Phi at the x>0 piece
     rn = _mills(-a0)                   # x<0 piece of N(omega, V)
     ex_p = m + s2 * rp
-    exx_p = m * m + s2 * s2 + s2 * m * rp
     ex_n = omega - s * rn
-    exx_n = omega * omega + V - s * omega * rn
     ev = wp * ex_p
-    evv = wp * exx_p
     ex = wn * ex_n + wp * ex_p
-    exx = wn * exx_n + wp * exx_p
-    return logz, ev, evv - ev ** 2, ex, exx - ex ** 2
+
+    def variances():
+        exx_p = m * m + s2 * s2 + s2 * m * rp
+        exx_n = omega * omega + V - s * omega * rn
+        return wp * exx_p - ev ** 2, wn * exx_n + wp * exx_p - ex ** 2
+
+    return logz, ev, ex, variances
 
 
 def relu_moments_quadrature(B, A, omega, V, nodes_per_panel=_RELU_NODES_PER_PANEL):
@@ -252,6 +254,9 @@ def relu_moments_quadrature(B, A, omega, V, nodes_per_panel=_RELU_NODES_PER_PANE
     return logz, ev, evv - ev ** 2, ex, exx - ex ** 2
 
 
+_MOMENTS = {"linear": _moments_linear, "sign": _moments_sign, "relu": _moments_relu}
+
+
 def out_moments(act: Activation, B, A, omega, V):
     """(log Z_out, E[v], Var[v], E[x], Var[x]) under Q_out; vectorized."""
     B = np.asarray(B, dtype=float)
@@ -263,11 +268,9 @@ def out_moments(act: Activation, B, A, omega, V):
         raise ValueError("non-finite channel parameters")
     if np.any(V <= 0):
         raise ValueError("V must be positive")
-    if act.kind == "linear":
-        return _moments_linear(B, A, omega, V)
-    if act.kind == "sign":
-        return _moments_sign(B, A, omega, V)
-    return _moments_relu(B, A, omega, V)
+    logz, ev, ex, variances = _MOMENTS[act.kind](B, A, omega, V)
+    var_v, var_x = variances()
+    return logz, ev, var_v, ex, var_x
 
 
 def z_out(act: Activation, dp: DenoiserParams) -> float:
@@ -382,8 +385,8 @@ def psi_z_grad2(prior: SeparablePrior, x: float, order: int = 64) -> float:
 def _field_grid(latent, x, y, order, rotate=True):
     """(B, omega, log-weights, V) for the E_{xi,eta} expectations over Z_out.
 
-    The grid serves the sign and ReLU gradients and every Psi_out value; the
-    linear gradients are closed form (psi_out_grads) and never reach it.
+    The grid serves the sign and ReLU Psi_out and gradients; the linear ones
+    are closed form (psi_out, psi_out_grads) and never reach it.
     Z_out(sqrt(x) xi, x, sqrt(y) eta, V) times the Gaussian weight forms a
     tilted, strongly anisotropic ridge in (xi, eta) at low noise.  For the
     linear channel its quadratic form is exact:
@@ -393,15 +396,10 @@ def _field_grid(latent, x, y, order, rotate=True):
     so the tensor Gauss-Hermite grid is mapped onto the principal axes of the
     resulting effective covariance with exact importance log-weights (a
     change of sampling measure; exact for linear, near-optimal otherwise).
-    The caller must combine the returned log-weights with log Z.
+    The caller must combine the returned log-weights with log Z, and must have
+    checked (x, y) with _check_fields.
     """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if y < 0 or y > latent.rho:
-        raise ValueError("need 0 <= y <= rho_z (V = rho_z - y must stay positive)")
     V = latent.rho - y
-    if V <= 0:
-        raise ValueError("y = rho_z makes V zero; clamp y strictly below rho_z")
     g = hermite_grid(order)
     t = g.nodes
     logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
@@ -440,20 +438,41 @@ def _field_grid(latent, x, y, order, rotate=True):
     return B, omega, logw, V
 
 
+def _check_fields(latent, x, y):
+    """Refuse (x, y) outside Psi_out's domain: finite x >= 0, finite 0 <= y < rho_z."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("non-finite channel parameters")
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if y < 0 or y >= latent.rho:
+        raise ValueError("need 0 <= y < rho_z (V = rho_z - y must stay positive)")
+
+
 def _out_field_moments(act, latent, x, y, order):
-    """Moments of Q_out on the adapted (xi, eta) Gauss-Hermite grid."""
+    """(log-weights, log Z, E[v], E[x], omega, V) on the adapted (xi, eta) grid.
+
+    Finite fields of a checked (x, y) need no array scan, and the variances
+    are never read, so the channel's moment core is called directly.
+    """
     B, omega, logw, V = _field_grid(latent, x, y, order, rotate=act.kind != "sign")
-    logz, _, _, ex, _ = out_moments(act, B, x, omega, V)
-    return logw, logz, ex, omega, V, B
+    logz, ev, ex, _ = _MOMENTS[act.kind](B, x, omega, V)
+    return logw, logz, ev, ex, omega, V
 
 
 def psi_out(act: Activation, latent: SeparablePrior, x: float, y: float,
             order: int = 64, adaptive: bool = True) -> float:
-    """Psi_out(x, y) as a tensor-product Gauss-Hermite expectation of Z log Z."""
+    """Psi_out(x, y) as a tensor-product Gauss-Hermite expectation of Z log Z.
+
+    The linear channel has it in closed form, the integral of its gradients
+    (see psi_out_grads): Psi_out = (rho_z x - log(1 + x (rho_z - y))) / 2.
+    """
     def val(n):
         logw, logz, *_ = _out_field_moments(act, latent, x, y, n)
         return float(np.sum(np.exp(logw + logz) * logz))
 
+    _check_fields(latent, x, y)
+    if act.kind == "linear":
+        return 0.5 * (latent.rho * x - math.log1p(x * (latent.rho - y)))
     v = val(order)
     if adaptive:
         v2 = val(2 * order)
@@ -476,17 +495,13 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
     latent, and `order`/`adaptive` are unused there.
     """
     def val(n):
-        B, omega, logw, V = _field_grid(latent, x, y, n, rotate=act.kind != "sign")
-        logz, ev, _, ex, _ = out_moments(act, B, x, omega, V)
+        logw, logz, ev, ex, omega, V = _out_field_moments(act, latent, x, y, n)
         zw = np.exp(logw + logz)
         fout = (ex - omega) / V
         return (0.5 * float(np.sum(zw * ev * ev)),
                 0.5 * float(np.sum(zw * fout * fout)))
 
-    if y < 0 or y >= latent.rho:
-        raise ValueError("need 0 <= y < rho_z")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
+    _check_fields(latent, x, y)
     if act.kind == "linear":
         V = latent.rho - y
         s = 1.0 + x * V
@@ -502,5 +517,6 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
 def out_channel_normalization(act: Activation, latent: SeparablePrior,
                               x: float, y: float, order: int = 64) -> float:
     """E_{xi,eta}[Z_out] at matched (x, y); equals 1 under the planted measure."""
+    _check_fields(latent, x, y)
     logw, logz, *_ = _out_field_moments(act, latent, x, y, order)
     return float(np.sum(np.exp(logw + logz)))

@@ -451,7 +451,7 @@ def _build_cfg(args) -> ExperimentConfig:
 
 
 def _emit_record(record, out):
-    text = json.dumps(record, indent=2, default=_json_default)
+    text = json.dumps(_jsonable(record), indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -459,14 +459,23 @@ def _emit_record(record, out):
         print(text)
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _jsonable(obj):
+    """obj with numpy values made Python ones and every non-finite float null.
+
+    Strict JSON has no NaN or Infinity; records are dumped with
+    allow_nan=False, so anything this misses fails loudly instead.
+    """
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and math.isnan(obj):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return obj
 
 
 def _cmd_method(args, method):
@@ -583,7 +592,7 @@ def _cmd_cov_lamp(args):
     save_matrix_csv(args.out, sr.eigenvector)
     meta = {"eigenvalues": list(sr.eigenvalues), "residuals": list(sr.residuals),
             "iters": sr.iters, "n_spikes": spikes.shape[0], "delta": args.delta}
-    print(json.dumps(meta, indent=2, default=_json_default))
+    print(json.dumps(_jsonable(meta), indent=2, allow_nan=False))
     return 0
 
 

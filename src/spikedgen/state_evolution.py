@@ -114,6 +114,11 @@ def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
     The model enters only through Psi_out's first argument, q_v / Delta for
     Wigner and beta q_u / Delta for Wishart, and through Wishart's q_u line.
     """
+    if not all(map(math.isfinite, state.as_tuple())):
+        # an overflowed q_hat_z (alpha near the float range) poisons the next
+        # step; stop here instead of handing the channel a non-finite field
+        raise FloatingPointError(f"state evolution reached a non-finite state "
+                                 f"{state.as_tuple()} at alpha={alpha}, delta={delta}")
     wishart = isinstance(model, Wishart)
     x = model.beta * state.q_u / delta if wishart else state.q_v / delta
     gx, gy = ch.psi_out_grads(act, latent, x, state.q_z, order=_QUAD_ORDER,
@@ -199,6 +204,10 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
     def f(x):
         nonlocal evals
         evals += 1
+        if not np.isfinite(x).all():
+            # a diverged probe of the root solve: fail it, so that the damped
+            # fallback takes over, rather than step from a non-finite state
+            return np.full_like(x, np.nan)
         new = se_step(project(x), delta, alpha, act, latent, model)
         return np.subtract(new.as_tuple(), x)
 

@@ -187,7 +187,7 @@ def test_relu_quadrature_path_matches_closed_form():
     omega = 4 * rng.normal(size=500)
     V = 0.02 + np.abs(rng.normal(size=500))
     ref = ch.relu_moments_quadrature(B, A, omega, V)
-    fast = ch._moments_relu(B, A, omega, V)
+    fast = ch.out_moments(RELU, B, A, omega, V)
     for a, b in zip(ref, fast):
         assert np.max(np.abs(a - b)) < 1e-9
 
@@ -295,6 +295,17 @@ def test_psi_out_rejects_bad_y(any_act):
         ch.psi_out_grads(any_act, GAUSS1, 0.5, GAUSS1.rho)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("arg", ["x", "y"])
+@pytest.mark.parametrize("fn", ["psi_out", "psi_out_grads"])
+def test_psi_out_rejects_non_finite_fields(any_act, fn, arg, bad):
+    # the scalar check refuses every channel alike, the closed-form linear
+    # one included, before any field grid is built
+    x, y = (bad, 0.3) if arg == "x" else (0.5, bad)
+    with pytest.raises(ValueError, match="non-finite channel parameters"):
+        getattr(ch, fn)(any_act, GAUSS1, x, y)
+
+
 def test_psi_out_grads_match_finite_differences(any_act):
     h = 1e-5
     for x, y in [(0.5, 0.3), (1.7, 0.1), (0.2, 0.6)]:
@@ -336,16 +347,21 @@ def _grads_on_grid(act, x, B, omega, logw, V):
 
 
 def test_linear_grads_closed_form_match_quadrature():
-    # Psi_out sees the latent only through rho_z; the closed form must agree
+    # Psi_out sees the latent only through rho_z; the closed forms must agree
     # with the 64 x 64 adapted grid for every rho_z and for a Rademacher latent
     for latent in (gauss_prior(0.4), GAUSS1, gauss_prior(3.0), rademacher_prior()):
         for x in np.geomspace(1e-3, 10.0, 9):
             for frac in (0.0, 0.1, 0.5, 0.9, 0.99):
                 y = frac * latent.rho
-                want = _grads_on_grid(LINEAR, x, *ch._field_grid(latent, x, y, 64))
+                grid = ch._field_grid(latent, x, y, 64)
+                want = _grads_on_grid(LINEAR, x, *grid)
                 got = ch.psi_out_grads(LINEAR, latent, x, y)
                 assert abs(got[0] - want[0]) <= 1e-12
                 assert abs(got[1] - want[1]) <= 1e-12
+                B, omega, logw, V = grid
+                logz, *_ = ch.out_moments(LINEAR, B, x, omega, V)
+                want = float(np.sum(np.exp(logw + logz) * logz))
+                assert abs(ch.psi_out(LINEAR, latent, x, y) - want) <= 1e-12
 
 
 def test_sign_separable_grid_matches_materialised_grid():
@@ -366,6 +382,15 @@ def test_sign_separable_grid_matches_materialised_grid():
         logz, *_ = ch.out_moments(SIGN, B_full, x, omega_full, V)
         assert ch.psi_out(SIGN, GAUSS1, x, y, order=order, adaptive=False) == \
             float(np.sum(np.exp(logw_full + logz) * logz))
+        # ReLU runs on the rotated grid, whose fields are full (order, order)
+        # arrays already; its moment core must reproduce out_moments bit for bit
+        grid = ch._field_grid(GAUSS1, x, y, order)
+        assert ch.psi_out_grads(RELU, GAUSS1, x, y, order=order, adaptive=False) == \
+            _grads_on_grid(RELU, x, *grid)
+        B, omega, logw, V = grid
+        logz, *_ = ch.out_moments(RELU, B, x, omega, V)
+        assert ch.psi_out(RELU, GAUSS1, x, y, order=order, adaptive=False) == \
+            float(np.sum(np.exp(logw + logz) * logz))
 
 
 def test_psi_out_dy_nonnegative(any_act):

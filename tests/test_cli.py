@@ -33,6 +33,18 @@ def test_se_needs_no_sampling(capsys):
     assert rec["metrics"]["se"]["residual"] < 1e-10
 
 
+def test_se_record_is_strict_json(capsys):
+    # at alpha = 1e16 no init converges, so the init gap is undefined: it
+    # must print as null, never as the NaN that strict parsers reject
+    assert run_main(["se", "--alpha", "1e16", "--delta", "1"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rec = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rec["metrics"]["se"]["init_gap"] is None
+
+
 def test_dims_requires_exactly_one(capsys):
     assert run_main(["amp", "--alpha", "2", "--delta", "2"]) == 2
     assert run_main(["amp", "--alpha", "2", "--delta", "2",

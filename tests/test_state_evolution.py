@@ -276,6 +276,14 @@ def test_mutual_information_monotone_in_delta():
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("alpha", [1e3, 1e30, 1e200])
+def test_mutual_information_nonnegative_at_large_alpha(alpha):
+    # q_z sits at the rho_z (1 - 1e-12) edge here, where a field-grid Psi_out
+    # is off by 5e-5, enough to make i_RS negative
+    i_rs, _ = se.mutual_information(1.0, alpha, LINEAR, GAUSS1)
+    assert i_rs >= 0.0
+
+
 def test_immse_finite_difference():
     # d i_RS / d lambda = (rho_v^2 - q_v*^2) / 4 at lambda = 1/Delta
     for delta in (1.5, 2.5):
