@@ -11,8 +11,10 @@ closed form for the linear channel (Gaussian convolution), erf-based closed
 forms for sign (stable down to V -> 0), and truncated-Gaussian closed forms
 for ReLU (piecewise Gauss-Legendre split at the kink is the reference path).
 Each channel has one moment core, giving log Z_out, E[v], E[x] and, on
-demand, the two variances.  `out_moments` is the checked array entry point:
-input checks, the core, then the variances that AMP reads.
+demand, the two variances.  The cores run whole field grids on fast ufuncs:
+log-sum-exp as max + log1p(exp(-|a - b|)), and ReLU's log Phi and Mills
+ratio from one erfcx per argument.  `out_moments` is the checked array entry
+point: input checks, the core, then the variances that AMP reads.
 
 The free-entropy integrals Psi_z / Psi_out and their gradients are
 Gauss-Hermite expectations over the effective Gaussian fields; gradients use
@@ -20,7 +22,8 @@ the moment identities 2 d_x Psi_out = E[Z_out f_v^2] and
 2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.  The linear
 channel's Psi_out and its gradients are closed form; the (xi, eta) grid
 serves sign and ReLU, whose quadratures check (x, y) once as scalars and then
-call the moment core directly, without variances or array scans.
+call the moment core directly, without variances or array scans; a proxy
+covariance or quadrature sum that is not finite raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from scipy import special as sp
 from .priors import Activation, SeparablePrior, gauss_legendre
 
 _LOG2PI = math.log(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_UNDERFLOW = math.log(1e-300)
 
 
@@ -107,7 +111,32 @@ class LatentParams:
 # output-channel moments
 # ---------------------------------------------------------------------------
 # Each core returns (log Z_out, E[v], E[x], variances); variances() gives
-# (Var[v], Var[x]), which only out_moments computes.
+# (Var[v], Var[x]), which only out_moments computes.  The cores run on whole
+# field grids, where np.logaddexp, log_ndtr and erfcx each cost over ten times
+# as much per element as exp or log1p, so log-sum-exp is built from exp and
+# log1p, and ReLU calls erfcx once per argument.
+
+def _logaddexp(a, b):
+    """log(e^a + e^b) for finite a, b: numpy's formula, from vectorised ufuncs."""
+    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+
+
+def _log_ndtr_mills(t):
+    """(log Phi(t), phi(t) / Phi(t)) from one e = erfcx(|t| / sqrt 2) per element.
+
+    With h = t^2/2 and g = e^-h e = erfc(|t| / sqrt 2): for t > 0,
+    Phi = 1 - g/2, so log Phi = log1p(-g/2) and phi/Phi = sqrt(2/pi) e^-h / (2 - g);
+    otherwise Phi = e e^-h / 2, so log Phi = log(e/2) - h and phi/Phi = sqrt(2/pi) / e.
+    """
+    h = 0.5 * t * t
+    e = sp.erfcx(np.abs(t) / math.sqrt(2.0))
+    eh = np.exp(-h)
+    g = eh * e
+    pos = t > 0
+    log_cdf = np.where(pos, np.log1p(-0.5 * g), np.log(0.5 * e) - h)
+    mills = np.where(pos, _SQRT_2_OVER_PI * eh / (2.0 - g), _SQRT_2_OVER_PI / e)
+    return log_cdf, mills
+
 
 def _moments_linear(B, A, omega, V):
     c2 = A + 1.0 / V
@@ -123,7 +152,7 @@ def _moments_sign(B, A, omega, V):
     a0 = omega / s
     lp = sp.log_ndtr(a0)          # log P(x > 0)
     ln = sp.log_ndtr(-a0)
-    log_den = np.logaddexp(B + lp, -B + ln)
+    log_den = _logaddexp(B + lp, -B + ln)
     logz = -0.5 * A + log_den
     v_mean = np.tanh(B + 0.5 * (lp - ln))
     # tau = sqrt(V) phi(a0) (e^B - e^-B) / (e^B p+ + e^-B p-), in log space
@@ -176,11 +205,6 @@ def _halfline_window(m, inv_var, side):
     return lo, hi
 
 
-def _mills(t):
-    """phi(t) / Phi(t), stable for any t via erfcx."""
-    return math.sqrt(2.0 / math.pi) / sp.erfcx(-t / math.sqrt(2.0))
-
-
 def _moments_relu(B, A, omega, V):
     """ReLU moments in closed form: each half-line is a truncated Gaussian.
 
@@ -196,16 +220,16 @@ def _moments_relu(B, A, omega, V):
     m = c1 / c2
     s2 = 1.0 / np.sqrt(c2)
     mt = m / s2
-    # piece masses (each already includes the N(omega, V) normalisation)
-    log_mn = sp.log_ndtr(-a0)
+    # piece masses (each already includes the N(omega, V) normalisation) and
+    # truncated-normal Mills ratios phi/Phi: rn for the x<0 piece of
+    # N(omega, V), rp for the x>0 piece
+    log_mn, rn = _log_ndtr_mills(-a0)
+    log_cdf_p, rp = _log_ndtr_mills(mt)
     log_mp = (0.5 * c1 * c1 / c2 - 0.5 * omega * omega / V
-              + np.log(s2 / s) + sp.log_ndtr(mt))
-    logz = np.logaddexp(log_mn, log_mp)
+              + np.log(s2 / s) + log_cdf_p)
+    logz = _logaddexp(log_mn, log_mp)
     wp = np.exp(log_mp - logz)
     wn = np.exp(log_mn - logz)
-    # truncated-normal moments per piece
-    rp = _mills(mt)                    # phi/Phi at the x>0 piece
-    rn = _mills(-a0)                   # x<0 piece of N(omega, V)
     ex_p = m + s2 * rp
     ex_n = omega - s * rn
     ev = wp * ex_p
@@ -382,6 +406,20 @@ def psi_z_grad2(prior: SeparablePrior, x: float, order: int = 64) -> float:
     return float(np.sum(g.std_weights * mean))
 
 
+@lru_cache(maxsize=16)
+def _tensor_grid(order):
+    """Per-order constants of the (xi, eta) grid: the standard-normal nodes
+    u, the tensor log-weights and |u|^2/2 over the tensor grid."""
+    g = hermite_grid(order)
+    u = math.sqrt(2.0) * g.nodes
+    logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
+    logw = logw1[:, None] + logw1[None, :]
+    half_u2 = 0.5 * (u[:, None] * u[:, None] + u[None, :] * u[None, :])
+    for a in (u, logw, half_u2):
+        a.flags.writeable = False
+    return u, logw, half_u2
+
+
 def _field_grid(latent, x, y, order, rotate=True):
     """(B, omega, log-weights, V) for the E_{xi,eta} expectations over Z_out.
 
@@ -397,22 +435,18 @@ def _field_grid(latent, x, y, order, rotate=True):
     resulting effective covariance with exact importance log-weights (a
     change of sampling measure; exact for linear, near-optimal otherwise).
     The caller must combine the returned log-weights with log Z, and must have
-    checked (x, y) with _check_fields.
+    checked (x, y) with _check_fields.  A proxy covariance that is not finite
+    and positive definite (x near the float range) raises FloatingPointError.
     """
     V = latent.rho - y
-    g = hermite_grid(order)
-    t = g.nodes
-    logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
+    u, logw, half_u2 = _tensor_grid(order)
     if not rotate:
         # plain tensor grid: best for the sign channel, whose Z shifts the
         # xi-mass without widening it (the proxy rotation would dilute nodes).
         # B (order, 1) and omega (1, order) stay separable and broadcast
         # against the (order, order) log-weights, so per-field work runs on
         # `order` values
-        logw = logw1[:, None] + logw1[None, :]
-        B = math.sqrt(x) * (math.sqrt(2.0) * t)[:, None]
-        omega = math.sqrt(y) * (math.sqrt(2.0) * t)[None, :]
-        return B, omega, logw, V
+        return math.sqrt(x) * u[:, None], math.sqrt(y) * u[None, :], logw, V
     # effective precision P = I - H of the linear-proxy integrand
     s = 1.0 / (1.0 + x * V)
     c = math.sqrt(x * y)
@@ -421,18 +455,21 @@ def _field_grid(latent, x, y, order, rotate=True):
     p22 = 1.0 + x * y * s
     det_p = p11 * p22 - p12 * p12
     cov = np.array([[p22, -p12], [-p12, p11]]) / det_p
+    if not (det_p > 0.0 and cov[0, 0] > 0.0 and np.all(np.isfinite(cov))):
+        raise FloatingPointError(f"Psi_out field grid: proxy covariance {cov.tolist()} "
+                                 f"is not finite and positive at x={x!r}, y={y!r}")
     l11 = math.sqrt(cov[0, 0])
     l21 = cov[1, 0] / l11
     l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 1e-300))
-    u1 = math.sqrt(2.0) * t[:, None]
-    u2 = math.sqrt(2.0) * t[None, :]
-    xi = l11 * u1 + 0.0 * u2
+    u1 = u[:, None]
+    u2 = u[None, :]
+    # xi depends on the first axis only and broadcasts as an (order, 1) column
+    xi = l11 * u1
     eta = l21 * u1 + l22 * u2
     # importance ratio N(v;0,I)/N(v;0,cov) on the mapped nodes
     # (v^T cov^{-1} v = |u|^2 on the mapped grid; det cov = 1/det P)
-    logr = -0.5 * (xi * xi + eta * eta) + 0.5 * (u1 * u1 + u2 * u2) \
-        - 0.5 * math.log(det_p)
-    logw = logw1[:, None] + logw1[None, :] + logr
+    logr = -0.5 * (xi * xi + eta * eta) + half_u2 - 0.5 * math.log(det_p)
+    logw = logw + logr
     B = math.sqrt(x) * xi
     omega = math.sqrt(y) * eta
     return B, omega, logw, V
@@ -459,6 +496,14 @@ def _out_field_moments(act, latent, x, y, order):
     return logw, logz, ev, ex, omega, V
 
 
+def _grid_sum(terms, x, y) -> float:
+    """Sum of a quadrature's terms; a non-finite sum raises FloatingPointError."""
+    total = float(np.sum(terms))
+    if not math.isfinite(total):
+        raise FloatingPointError(f"Psi_out quadrature sum is {total} at x={x!r}, y={y!r}")
+    return total
+
+
 def psi_out(act: Activation, latent: SeparablePrior, x: float, y: float,
             order: int = 64, adaptive: bool = True) -> float:
     """Psi_out(x, y) as a tensor-product Gauss-Hermite expectation of Z log Z.
@@ -468,7 +513,7 @@ def psi_out(act: Activation, latent: SeparablePrior, x: float, y: float,
     """
     def val(n):
         logw, logz, *_ = _out_field_moments(act, latent, x, y, n)
-        return float(np.sum(np.exp(logw + logz) * logz))
+        return _grid_sum(np.exp(logw + logz) * logz, x, y)
 
     _check_fields(latent, x, y)
     if act.kind == "linear":
@@ -498,8 +543,8 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
         logw, logz, ev, ex, omega, V = _out_field_moments(act, latent, x, y, n)
         zw = np.exp(logw + logz)
         fout = (ex - omega) / V
-        return (0.5 * float(np.sum(zw * ev * ev)),
-                0.5 * float(np.sum(zw * fout * fout)))
+        return (0.5 * _grid_sum(zw * ev * ev, x, y),
+                0.5 * _grid_sum(zw * fout * fout, x, y))
 
     _check_fields(latent, x, y)
     if act.kind == "linear":
@@ -519,4 +564,4 @@ def out_channel_normalization(act: Activation, latent: SeparablePrior,
     """E_{xi,eta}[Z_out] at matched (x, y); equals 1 under the planted measure."""
     _check_fields(latent, x, y)
     logw, logz, *_ = _out_field_moments(act, latent, x, y, order)
-    return float(np.sum(np.exp(logw + logz)))
+    return _grid_sum(np.exp(logw + logz), x, y)

@@ -19,6 +19,7 @@ det(I - J) = 0 and the two null moments E[v^2], E[vx].
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -106,6 +107,20 @@ def _clamp_state(q_v, q_z, q_hat_z, rv, rz, q_u=None, ru=None):
     return q_v, q_z, q_hat_z, q_u
 
 
+@functools.lru_cache(maxsize=64)
+def _psi_out_grads(act: Activation, latent: SeparablePrior, x: float,
+                   y: float) -> tuple[float, float]:
+    """`ch.psi_out_grads` at the SE quadrature order, memoised per (x, y).
+
+    A root solve asks for the same point about four times: scipy's shape
+    check and MINPACK's first call at x0, the finite-difference Jacobian
+    column for q_hat_z (which no argument of Psi_out depends on), and the
+    residual of the point just found.  The function is looked up on the
+    module at each call, so a wrapper installed there sees every evaluation.
+    """
+    return ch.psi_out_grads(act, latent, x, y, order=_QUAD_ORDER, adaptive=False)
+
+
 def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
             latent: SeparablePrior, model: Wigner | Wishart = Wigner(),
             damping: float = 0.0) -> OverlapState:
@@ -121,8 +136,7 @@ def se_step(state: OverlapState, delta: float, alpha: float, act: Activation,
                                  f"{state.as_tuple()} at alpha={alpha}, delta={delta}")
     wishart = isinstance(model, Wishart)
     x = model.beta * state.q_u / delta if wishart else state.q_v / delta
-    gx, gy = ch.psi_out_grads(act, latent, x, state.q_z, order=_QUAD_ORDER,
-                              adaptive=False)
+    gx, gy = _psi_out_grads(act, latent, x, state.q_z)
     q_hat_new = 2.0 * alpha * gy
     q_hat = (1.0 - damping) * q_hat_new + damping * state.q_hat_z
     q_z = ch.psi_z_grad2(latent, q_hat, order=_QUAD_ORDER)

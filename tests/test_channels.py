@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as sp
 
 from spikedgen import channels as ch
 from spikedgen.priors import LINEAR, SIGN, RELU, gauss_prior, rademacher_prior
@@ -190,6 +191,47 @@ def test_relu_quadrature_path_matches_closed_form():
     fast = ch.out_moments(RELU, B, A, omega, V)
     for a, b in zip(ref, fast):
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_logaddexp_matches_numpy():
+    rng = np.random.default_rng(21)
+    n = 10 ** 6
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+    ref = np.logaddexp(a, b)
+    got = ch._logaddexp(a, b)
+    # relative error; below |ref| = 1 the result is max(a, b) cancelled against
+    # a log1p term of at most log 2, whose absolute error both formulas share
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_log_ndtr_mills_matches_scipy():
+    t = np.concatenate([np.linspace(-60.0, 60.0, 120001),
+                        np.geomspace(1e-300, 1e150, 3000),
+                        -np.geomspace(1e-300, 1e150, 3000),
+                        np.linspace(37.5, 38.5, 1001), -np.linspace(37.5, 38.5, 1001),
+                        [0.0, -0.0]])
+    log_cdf, mills = ch._log_ndtr_mills(t)
+    assert np.all(np.isfinite(log_cdf)) and np.all(np.isfinite(mills))
+    refs = (sp.log_ndtr(t), math.sqrt(2.0 / math.pi) / sp.erfcx(-t / math.sqrt(2.0)))
+    for got, ref in zip((log_cdf, mills), refs):
+        # wherever the reference is a normal float (erfcx overflows past
+        # t = 37.7 and log Phi underflows for large t)
+        normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        assert np.count_nonzero(normal) > 0.75 * t.size
+        rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+        assert rel.max() <= 1e-12
+    assert log_cdf[-1] == log_cdf[-2] == math.log(0.5)
+    assert mills[-1] == mills[-2] == math.sqrt(2.0 / math.pi)
+
+
+@pytest.mark.parametrize("x", [1e16, 1e20, 1.7e308])
+def test_relu_field_grid_refuses_huge_x(x):
+    # the proxy covariance loses positivity (or the sums overflow) near the
+    # float range; a non-finite gradient must not reach state evolution
+    for fn in (ch.psi_out_grads, ch.psi_out):
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            fn(RELU, GAUSS1, x, 0.5)
 
 
 def test_underflow_raises():

@@ -284,6 +284,15 @@ def test_huge_alpha_fails_cleanly(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_relu_se_at_tiny_delta_is_numerical_failure(capsys):
+    # x = q_v / Delta near 1e20 leaves the ReLU field grid without a positive
+    # proxy covariance: a numerical failure (exit 3), not a traceback
+    assert run_main(["se", "--activation", "relu", "--alpha", "2",
+                     "--delta", "1e-20"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_2(tmp_path, capsys, case):
     assert run_main(BAD_INPUT[case](tmp_path)) == 2

@@ -207,6 +207,37 @@ def test_wishart_linear_fixed_point_vs_closed_map():
         assert pp.q_u_star == pytest.approx(state[3], abs=1e-8)
 
 
+@pytest.mark.parametrize("act, alpha, delta", [(SIGN, 2.0, 0.8), (RELU, 1.0, 0.3)],
+                         ids=["sign", "relu"])
+def test_psi_out_memo_evaluates_each_point_once(monkeypatch, act, alpha, delta):
+    # a root solve asks for the same (x, y) several times (x0 twice, the
+    # q_hat_z Jacobian column, the residual of the point found); the memo
+    # must evaluate each distinct point once and leave every result as it was
+    memo, grads = se._psi_out_grads, ch.psi_out_grads
+    asked, evaluated = [], []
+
+    def ask(act, latent, x, y):
+        asked.append((x, y))
+        return memo(act, latent, x, y)
+
+    def evaluate(act, latent, x, y, **kwargs):
+        evaluated.append((x, y))
+        return grads(act, latent, x, y, **kwargs)
+
+    monkeypatch.setattr(se, "_psi_out_grads", ask)
+    monkeypatch.setattr(ch, "psi_out_grads", evaluate)
+    memo.cache_clear()
+    pp = se.se_fixed_point(se.SEConfig(), delta, alpha, act, GAUSS1)
+    assert pp.converged
+    assert len(evaluated) == len(set(evaluated)) == len(set(asked)) < len(asked)
+    memo.cache_clear()
+    again = se.se_fixed_point(se.SEConfig(), delta, alpha, act, GAUSS1)
+    assert again == pp
+    for init, run in pp.runs.items():
+        for key in ("state", "iters", "residual", "solver"):
+            assert again.runs[init][key] == run[key]
+
+
 def test_relu_fixed_point_builds_rho_v_nodes_once(monkeypatch):
     # rho_v(relu) is a 64-node Gauss-Hermite sum that bounds q_v on every
     # step; a run must not rebuild its nodes once per step
