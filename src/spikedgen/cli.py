@@ -235,6 +235,13 @@ def _check_fits(n: int, p: int, k: int):
                          f"{ram / 2 ** 30:.3g} GiB of physical memory")
 
 
+def _check_eig_dim(method: str, dim: int):
+    """Refuse a top-2 eigenproblem of dimension 1, which has no second pair."""
+    if dim < 2:
+        raise UsageError(f"{method}: the eigenproblem has dimension {dim}, so there "
+                         "is no second eigenpair (p and k must be at least 2)")
+
+
 def _make_instance(cfg: ExperimentConfig, seed: int):
     p, k = cfg.dims()
     n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
@@ -314,16 +321,18 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
         elif method == "lamp":
             coeffs = spectral_mod.lamp_coefficients(act, latent, cfg.model_kind())
             op = spectral_mod.build_lamp(inst, gm, coeffs)
+            _check_eig_dim("lamp", op.factor_dim())
             sr = spectral_mod.leading_eigs(op, truth=inst.v_star, tol=cfg.eig_tol,
                                            seed=splitmix64(seed, 6))
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
                  "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
         elif method == "pca":
+            _check_eig_dim("pca", inst.p)
             sr = spectral_mod.pca_estimate(inst, seed=splitmix64(seed, 7))
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
-                 "mse_v": mse, "residuals": list(sr.residuals)}
+                 "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
         record["metrics"][method] = m
     record["wall_time"] = time.time() - t0
     return record
@@ -588,6 +597,7 @@ def _cmd_cov_lamp(args):
         raise UsageError(f"spikes: row length {spikes.shape[1]} != p = {Y.shape[0]}")
     sigma = spectral_mod.empirical_covariance(spikes)
     op = spectral_mod.build_cov_lamp(Y, sigma, args.delta)
+    _check_eig_dim("cov-lamp", op.factor_dim())
     sr = spectral_mod.leading_eigs(op, tol=args.tol, seed=args.seed or 0)
     save_matrix_csv(args.out, sr.eigenvector)
     meta = {"eigenvalues": list(sr.eigenvalues), "residuals": list(sr.residuals),

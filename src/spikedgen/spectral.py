@@ -13,7 +13,9 @@ term is proportional to the third moment of P_z, which vanishes for both
 shipped (symmetric) priors, and a >= b >= 0 holds by Cauchy-Schwarz, so the
 preconditioner is PSD: K = F F^T.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
-whose eigenvectors map back through F, and Lanczos (`eigsh`) finds them.
+whose eigenvectors map back through F.  One Lanczos solver, `_lanczos_top2`,
+finds the top two eigenpairs for LAMP, covariance-LAMP and PCA: it never
+restarts, keeps its whole basis orthonormal, and stops by ARPACK's rule.
 Inputs without that structure are rejected at construction: `LampCoeffs`
 unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
 """
@@ -24,13 +26,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.linalg import eigh_tridiagonal
 
 from .priors import (Activation, GenerativeModel, SeparablePrior,
                      SpikedInstance, Wigner, Wishart, make_rng,
                      null_channel_moments)
-
-DENSE_CUTOFF = 4000
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def lamp_coefficients(act: Activation, latent: SeparablePrior,
 
 @dataclass
 class LampOperator:
-    """Matrix-free Gamma = precond . data / Delta with optional dense assembly."""
+    """Matrix-free Gamma = precond . data / Delta."""
 
     p: int
     k: int
@@ -105,13 +105,6 @@ class LampOperator:
             return math.sqrt(b / self.k) * (self.W.T @ x)
         return np.concatenate([math.sqrt(a - b) * x,
                                math.sqrt(b / self.k) * (self.W.T @ x)])
-
-    # -- dense assembly ------------------------------------------------------
-    def dense(self) -> np.ndarray:
-        if self.p > DENSE_CUTOFF:
-            raise ValueError(f"dense assembly limited to p <= {DENSE_CUTOFF}")
-        m = self.data_apply(np.eye(self.p))
-        return self.precond_apply(m) / self.delta
 
 
 def gram(inst: SpikedInstance):
@@ -175,6 +168,86 @@ def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOp
 # eigen-solvers
 # ---------------------------------------------------------------------------
 
+_MAX_STEPS = 1000    # default Lanczos step cap (the cap is min(dim, max_iter))
+_CHUNK = 64          # basis rows added each time the Lanczos basis fills up
+_CHECK_EVERY = 4     # Lanczos steps between two convergence checks on T_m
+_EPS = np.finfo(float).eps
+
+
+class LanczosNoConvergence(RuntimeError):
+    """The top-2 Lanczos solver reached its step cap before both pairs converged."""
+
+
+def _lanczos_top2(matvec, dim: int, rng: np.random.Generator, tol: float,
+                  max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Top-2 eigenpairs (largest algebraic) of a symmetric operator on R^dim.
+
+    Lanczos from q_1 = v0/|v0|, v0 = rng.standard_normal(dim), never restarted:
+    after the three-term recurrence each step projects its vector off the
+    whole stored basis, and once more when that pass removes more than
+    1 - 1/sqrt(2) of the norm (twice is enough), so the basis stays
+    orthonormal to working precision and T_m = Q_m^T A Q_m is tridiagonal.
+    Every `_CHECK_EVERY` steps the two largest Ritz pairs (theta_i, s_i) of
+    T_m face ARPACK's rule beta_m |s_{m,i}| <= tol max(eps^(2/3), |theta_i|);
+    tol <= 0 means eps, as in ARPACK.  A Krylov space that is invariant (m = dim, or beta_m at rounding
+    level) holds exact eigenpairs and ends the loop; at m = 1 it continues
+    from a fresh rng vector instead, with beta_1 = 0.  At most
+    min(dim, max_iter) steps, one matvec each; the basis grows by `_CHUNK`
+    rows up to that many.  Returns the Ritz values (largest first), the
+    Ritz vectors as the columns of a (dim, 2) array, and the step count.
+    """
+    cap = min(dim, max_iter)
+    if cap < 2:
+        raise ValueError(f"top-2 Lanczos needs dimension and max_iter >= 2 "
+                         f"(got {dim} and {max_iter})")
+    tol = tol if tol > 0 else _EPS
+    Q = np.empty((min(cap, _CHUNK), dim))
+    v0 = rng.standard_normal(dim)
+    Q[0] = v0 / np.linalg.norm(v0)
+    alpha, beta = [], []
+    anorm = 0.0
+    m = 0
+    while True:
+        w = matvec(Q[m])
+        anorm = max(anorm, np.linalg.norm(w))
+        a = Q[m] @ w
+        w = w - a * Q[m]
+        if m:
+            w -= beta[-1] * Q[m - 1]
+        m += 1
+        basis = Q[:m]
+        for _ in range(2):
+            wnorm = np.linalg.norm(w)
+            c = basis @ w
+            w -= basis.T @ c
+            a += c[-1]
+            rnorm = np.linalg.norm(w)
+            if rnorm >= wnorm / math.sqrt(2.0):
+                break
+        alpha.append(a)
+        invariant = m == dim or rnorm <= dim * _EPS * anorm
+        if invariant and m == 1:
+            w = rng.standard_normal(dim)
+            w -= Q[0] * (Q[0] @ w)
+            rnorm, invariant = 0.0, False
+        if m >= 2 and (invariant or m == cap or m % _CHECK_EVERY == 0):
+            theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta),
+                                        select="i", select_range=(m - 2, m - 1))
+            theta, s = theta[::-1], s[:, ::-1]
+            rel = rnorm * np.abs(s[-1]) / np.maximum(_EPS ** (2 / 3), np.abs(theta))
+            if invariant or np.all(rel <= tol):
+                return theta, basis.T @ s, m
+            if m == cap:
+                raise LanczosNoConvergence(
+                    f"top-2 Lanczos did not converge in {cap} steps: worst Ritz "
+                    f"estimate beta_m |s_m,i| / |theta_i| = {rel.max():.3g} "
+                    f"> tol = {tol:g}")
+        if m == Q.shape[0]:
+            Q = np.concatenate([Q, np.empty((min(cap, m + _CHUNK) - m, dim))])
+        beta.append(rnorm)
+        Q[m] = w / np.linalg.norm(w)
+
+
 @dataclass
 class SpectralResult:
     eigenvalues: tuple
@@ -196,38 +269,33 @@ def _overlap_sq(v: np.ndarray, truth: np.ndarray | None) -> float | None:
 
 
 def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
-                 tol: float = 1e-8, max_iter: int = 10000,
+                 tol: float = 1e-8, max_iter: int = _MAX_STEPS,
                  seed: int = 0) -> SpectralResult:
     """Top-2 eigenpairs of the LAMP operator, largest first.
 
-    Lanczos on the symmetric F^T M F / Delta (K = F F^T), mapped back to
-    Gamma's eigenvectors through F; `iters` counts the Lanczos matvecs.
-    There is no other path: an operator without a PSD preconditioner cannot
-    be built (`LampCoeffs` rejects anything but a >= b >= 0, `build_cov_lamp`
-    a Sigma_hat that is not symmetric PSD).
+    `_lanczos_top2` on the symmetric F^T M F / Delta (K = F F^T), mapped back
+    to Gamma's eigenvectors through F.  `max_iter` caps the Lanczos steps
+    (the cap is min(dim, max_iter), dim = `op.factor_dim()`, and the basis
+    takes at most 8 dim min(dim, max_iter) bytes); `iters` counts the
+    operator applications, one per step.  There is no other path: an
+    operator without a PSD preconditioner cannot be built (`LampCoeffs`
+    rejects anything but a >= b >= 0, `build_cov_lamp` a Sigma_hat that is
+    not symmetric PSD).
     """
-    dim = op.factor_dim()
-    count = [0]
-
     def matvec(y):
-        count[0] += 1
         return op.factor_rapply(op.data_apply(op.factor_apply(y))) / op.delta
 
-    lin = LinearOperator((dim, dim), matvec=matvec, dtype=float)
-    v0 = make_rng(seed).standard_normal(dim)
-    vals, vecs = eigsh(lin, k=2, which="LA", v0=v0, tol=tol,
-                       maxiter=max_iter, ncv=min(dim, 40))
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    top = _normalize_to_p(op.factor_apply(vecs[:, order[0]]), op.p)
-    second = op.factor_apply(vecs[:, order[1]])
+    vals, vecs, iters = _lanczos_top2(matvec, op.factor_dim(), make_rng(seed),
+                                      tol, max_iter)
+    top = _normalize_to_p(op.factor_apply(vecs[:, 0]), op.p)
+    second = op.factor_apply(vecs[:, 1])
     residuals = []
     for lam, vec in ((vals[0], top), (vals[1], second)):
         nrm = np.linalg.norm(vec)
         residuals.append(float(np.linalg.norm(op.apply(vec) - lam * vec) / nrm))
     return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),
                           eigenvector=top, overlap_sq=_overlap_sq(top, truth),
-                          iters=count[0], residuals=tuple(residuals))
+                          iters=iters, residuals=tuple(residuals))
 
 
 def pca_estimate(inst: SpikedInstance, seed: int = 0,
@@ -235,17 +303,7 @@ def pca_estimate(inst: SpikedInstance, seed: int = 0,
     """Leading eigenpair of Y/sqrt(p) (Wigner) or top right-singular pair (Wishart)."""
     p = inst.p
     data = gram(inst)
-    count = [0]
-
-    def matvec(x):
-        count[0] += 1
-        return data(x)
-
-    lin = LinearOperator((p, p), matvec=matvec, dtype=float)
-    vals, vecs = eigsh(lin, k=2, which="LA", v0=make_rng(seed).standard_normal(p),
-                       tol=tol)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs, iters = _lanczos_top2(data, p, make_rng(seed), tol, _MAX_STEPS)
     res = [float(np.linalg.norm(data(vecs[:, i]) - vals[i] * vecs[:, i]))
            for i in range(2)]
     if isinstance(inst.model, Wishart):
@@ -254,4 +312,4 @@ def pca_estimate(inst: SpikedInstance, seed: int = 0,
     return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),
                           eigenvector=top,
                           overlap_sq=_overlap_sq(top, inst.v_star),
-                          iters=count[0], residuals=tuple(res))
+                          iters=iters, residuals=tuple(res))

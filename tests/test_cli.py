@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from spikedgen import cli, priors, serialize as ser
+from spikedgen import cli, priors, serialize as ser, spectral
 from spikedgen.priors import (LINEAR, gauss_prior, generate_spike, make_model, make_rng,
                               sample_u, sample_wigner, sample_wishart)
 
@@ -144,6 +144,50 @@ def test_run_single_shares_instance():
     assert rec["build"]
 
 
+def test_spectral_records_carry_matvec_counts():
+    # `iters` is the solver's operator-application count, for PCA as for LAMP
+    cfg = cli.ExperimentConfig(alpha=2.0, delta=0.4, k=250,
+                               methods=["lamp", "pca"], seed=6)
+    m = cli.run_single(cfg)["metrics"]
+    gm, inst = cli._make_instance(cfg, cfg.seed)
+    pca = spectral.pca_estimate(inst, seed=cli.splitmix64(cfg.seed, 7))
+    op = spectral.build_lamp(inst, gm, spectral.lamp_coefficients(cfg.act(),
+                                                                  cfg.latent_prior()))
+    lamp = spectral.leading_eigs(op, tol=cfg.eig_tol, seed=cli.splitmix64(cfg.seed, 6))
+    assert m["pca"]["iters"] == pca.iters > 0
+    assert m["pca"]["eigenvalues"] == list(pca.eigenvalues)
+    assert m["lamp"]["iters"] == lamp.iters > 0
+
+
+_SMALLEST = {
+    "lamp_k1": ["lamp", "--k", "1"],
+    "lamp_k2": ["lamp", "--k", "2"],
+    "lamp_wishart_k1": ["lamp", "--k", "1", "--model", "wishart"],
+    "lamp_wishart_k2": ["lamp", "--k", "2", "--model", "wishart"],
+    "pca_p1": ["pca", "--p", "1"],
+    "pca_p2": ["pca", "--p", "2"],
+    "pca_wishart_p2": ["pca", "--p", "2", "--model", "wishart"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SMALLEST))
+def test_spectral_at_smallest_dimension(capsys, case):
+    # dimension 2 is solved exactly in two Lanczos steps; dimension 1 has no
+    # second eigenpair and is a usage error
+    argv = _SMALLEST[case] + ["--alpha", "1", "--delta", "1"]
+    dim = int(argv[2])
+    assert run_main(argv) == (0 if dim == 2 else 2)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if dim == 1:
+        assert "usage error" in err and "no second eigenpair" in err
+        return
+    m = json.loads(out)["metrics"][argv[0]]
+    assert m["iters"] == 2
+    assert m["eigenvalues"][0] >= m["eigenvalues"][1]
+    assert max(m["residuals"]) <= 1e-12
+
+
 def test_rmt_subcommand_csv(tmp_path, capsys):
     out = tmp_path / "edge.csv"
     code = run_main(["rmt", "--alpha", "2", "--delta-grid", "2.0,3.0",
@@ -211,6 +255,11 @@ def _cov_lamp_args(tmp_path, delta="1.0", spikes=None, observation=None):
             "--delta", delta, "--out", str(tmp_path / "o.csv")]
 
 
+def _matrix_bytes(tmp_path, a):
+    ser.save_matrix(tmp_path / "m.bin", a)
+    return (tmp_path / "m.bin").read_bytes()
+
+
 def _config_args(tmp_path, line, argv=("se", "--alpha", "2", "--delta", "2")):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
@@ -226,6 +275,9 @@ BAD_INPUT = {
         t, observation=b"SPKD" + _HEADER.pack(1, 6, 6) + bytes(8 * 30)),
     "cov_lamp_negative_delta": lambda t: _cov_lamp_args(t, delta="-1"),
     "cov_lamp_zero_delta": lambda t: _cov_lamp_args(t, delta="0"),
+    # a 1 x 1 observation has no second eigenpair
+    "cov_lamp_dimension_one": lambda t: _cov_lamp_args(
+        t, spikes=np.ones((5, 1)), observation=_matrix_bytes(t, np.eye(1))),
     "lamp_relu": lambda t: ["lamp", "--activation", "relu", "--alpha", "2",
                             "--delta", "1", "--p", "40"],
     "mi_alpha_zero": lambda t: ["mi", "--alpha", "0", "--delta", "1"],

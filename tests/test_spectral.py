@@ -7,6 +7,7 @@ from spikedgen import rmt, spectral as sp, state_evolution as se
 from spikedgen.priors import (LINEAR, RELU, SIGN, Wigner, Wishart,
                               gauss_prior, generate_spike, make_model,
                               make_rng, sample_u, sample_wigner, sample_wishart)
+from oracles import lamp_dense
 from rmt_bounds import noise_seeds, overlap_bound
 
 GAUSS1 = gauss_prior(1.0)
@@ -54,7 +55,7 @@ def test_applicator_matches_dense(odd_act):
     gm, inst = _instance(150, 75, 0.8, odd_act, seed=1)
     coeffs = sp.lamp_coefficients(odd_act, GAUSS1)
     op = sp.build_lamp(inst, gm, coeffs)
-    dense = op.dense()
+    dense = lamp_dense(op)
     rng = make_rng(4)
     for _ in range(5):
         x = rng.standard_normal(gm.p)
@@ -92,7 +93,7 @@ def test_wishart_operator_dense_agreement():
     inst = sample_wishart(u, v, 0.9, seed=14, prior_u=pu, z_star=z)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1, Wishart(beta=1.0))
     op = sp.build_lamp(inst, gm, coeffs)
-    dense = op.dense()
+    dense = lamp_dense(op)
     x = make_rng(15).standard_normal(120)
     assert np.allclose(op.apply(x), dense @ x, atol=1e-10)
 
@@ -101,12 +102,87 @@ def test_wishart_operator_dense_agreement():
 # eigen-solvers
 # ---------------------------------------------------------------------------
 
+def _sym(dim, seed):
+    a = make_rng(seed).standard_normal((dim, dim))
+    return (a + a.T) / math.sqrt(2 * dim)
+
+
+def _with_spectrum(vals, seed):
+    q, _ = np.linalg.qr(make_rng(seed).standard_normal((len(vals), len(vals))))
+    return (q * vals) @ q.T
+
+
+def _check_top2(a, tol=1e-10):
+    """`_lanczos_top2` on the dense symmetric `a` against numpy.linalg.eigh."""
+    count = [0]
+
+    def matvec(x):
+        count[0] += 1
+        return a @ x
+
+    vals, vecs, steps = sp._lanczos_top2(matvec, a.shape[0], make_rng(0), tol, 1000)
+    want = np.linalg.eigh(a)[0][::-1][:2]
+    assert steps == count[0] <= a.shape[0]
+    assert vals[0] >= vals[1]
+    np.testing.assert_allclose(vals, want, rtol=1e-10, atol=0)
+    for i in range(2):
+        y = vecs[:, i]
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(a @ y - vals[i] * y) <= 2 * tol * abs(vals[i])
+    again = sp._lanczos_top2(a.__matmul__, a.shape[0], make_rng(0), tol, 1000)
+    assert np.array_equal(again[0], vals) and np.array_equal(again[1], vecs)
+    assert again[2] == steps
+    return steps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 50, 300])
+def test_lanczos_matches_eigh_on_random_symmetric(dim):
+    steps = _check_top2(_sym(dim, dim))
+    if dim <= 3:
+        assert steps == dim      # the Krylov space is the whole space
+
+
+def test_lanczos_resolves_a_close_top_pair():
+    vals = np.concatenate([[3.0, 3.0 - 1e-6], np.linspace(-2.0, 2.0, 198)])
+    _check_top2(_with_spectrum(vals, 7))
+
+
+def test_lanczos_stops_on_an_invariant_subspace():
+    # rank 2: K_3(A, v0) = span(v0, u, w) is invariant, so beta_3 is at
+    # rounding level and the solver stops there, far below the cap
+    vals = np.zeros(50)
+    vals[:2] = 3.0, 2.0
+    assert _check_top2(_with_spectrum(vals, 8)) == 3
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0])
+def test_lanczos_on_a_multiple_of_the_identity(scale):
+    # A q_1 is parallel to q_1 (or zero) at the first step: the solver goes on
+    # from a fresh vector, and T_2 = scale I gives both pairs
+    assert _check_top2(scale * np.eye(5)) == 2
+
+
+def test_lanczos_takes_largest_algebraic():
+    # negative definite: the top pair is the one closest to zero, not the
+    # largest in magnitude
+    assert _check_top2(_with_spectrum(-np.linspace(1.0, 5.0, 200), 9)) < 200
+
+
+def test_lanczos_reports_non_convergence():
+    a = _sym(50, 10)
+    with pytest.raises(sp.LanczosNoConvergence,
+                       match=r"Lanczos did not converge in 3 steps: worst Ritz "
+                             r"estimate .* = \S+ > tol") as err:
+        sp._lanczos_top2(a.__matmul__, 50, make_rng(0), 1e-10, max_iter=3)
+    assert isinstance(err.value, RuntimeError)
+
+
 def test_symmetric_path_on_known_eigenpairs():
     gm, inst = _instance(300, 150, 1.0, seed=21)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1)
     op = sp.build_lamp(inst, gm, coeffs)
     res = sp.leading_eigs(op, truth=inst.v_star, seed=1)
-    dense_eigs = np.sort(np.linalg.eigvals(op.dense()).real)[::-1]
+    dense_eigs = np.sort(np.linalg.eigvals(lamp_dense(op)).real)[::-1]
     assert res.eigenvalues[0] == pytest.approx(dense_eigs[0], abs=1e-7)
     assert res.eigenvalues[1] == pytest.approx(dense_eigs[1], abs=1e-6)
     assert res.eigenvalues[0] >= res.eigenvalues[1]
