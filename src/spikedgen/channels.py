@@ -11,10 +11,10 @@ closed form for the linear channel (Gaussian convolution), erf-based closed
 forms for sign (stable down to V -> 0), and truncated-Gaussian closed forms
 for ReLU (piecewise Gauss-Legendre split at the kink is the reference path).
 Each channel has one moment core, giving log Z_out, E[v], E[x] and, on
-demand, the two variances.  The cores run whole field grids on fast ufuncs:
-log-sum-exp as max + log1p(exp(-|a - b|)), and ReLU's log Phi and Mills
-ratio from one erfcx per argument.  `out_moments` is the checked array entry
-point: input checks, the core, then the variances that AMP reads.
+demand, the two variances, on fast ufuncs: log-sum-exp as
+max + log1p(exp(-|a - b|)), and ReLU's log Phi and Mills ratio from one erfcx
+per argument.  `out_moments` is the checked array entry point that AMP reads:
+input checks, the core, then the variances.
 
 The free-entropy integrals Psi_z / Psi_out and their gradients are
 Gauss-Hermite expectations over the effective Gaussian fields; gradients use
@@ -22,8 +22,9 @@ the moment identities 2 d_x Psi_out = E[Z_out f_v^2] and
 2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.  The linear
 channel's Psi_out and its gradients are closed form; the (xi, eta) grid
 serves sign and ReLU, whose quadratures check (x, y) once as scalars and then
-call the moment core directly, without variances or array scans; a proxy
-covariance or quadrature sum that is not finite raises FloatingPointError.
+read only the two half-line masses of each node and the density at the cut,
+from one piece-mass evaluator per channel; a field beyond the rotated grid's
+range or a quadrature sum that is not finite raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special as sp
@@ -40,6 +42,7 @@ from .priors import Activation, SeparablePrior, gauss_legendre
 _LOG2PI = math.log(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _LOG_UNDERFLOW = math.log(1e-300)
+_TINY = np.finfo(float).tiny
 
 
 class ChannelUnderflowError(FloatingPointError):
@@ -111,10 +114,11 @@ class LatentParams:
 # output-channel moments
 # ---------------------------------------------------------------------------
 # Each core returns (log Z_out, E[v], E[x], variances); variances() gives
-# (Var[v], Var[x]), which only out_moments computes.  The cores run on whole
-# field grids, where np.logaddexp, log_ndtr and erfcx each cost over ten times
-# as much per element as exp or log1p, so log-sum-exp is built from exp and
-# log1p, and ReLU calls erfcx once per argument.
+# (Var[v], Var[x]), which only out_moments computes.  AMP runs them on whole
+# layers, where np.logaddexp, log_ndtr and erfcx each cost over ten times as
+# much per element as exp or log1p, so log-sum-exp is built from exp and
+# log1p, and ReLU calls erfcx once per argument.  The field-grid quadratures
+# do not use them: they read piece masses (see _sign_masses, _relu_masses).
 
 def _logaddexp(a, b):
     """log(e^a + e^b) for finite a, b: numpy's formula, from vectorised ufuncs."""
@@ -406,18 +410,40 @@ def psi_z_grad2(prior: SeparablePrior, x: float, order: int = 64) -> float:
     return float(np.sum(g.std_weights * mean))
 
 
-@lru_cache(maxsize=16)
-def _tensor_grid(order):
+class _TensorGrid(NamedTuple):
     """Per-order constants of the (xi, eta) grid: the standard-normal nodes
-    u, the tensor log-weights and |u|^2/2 over the tensor grid."""
+    u, their weights w1 and log-weights, and over the tensor grid the weights,
+    log-weights and |u|^2/2 (all read-only)."""
+
+    u: np.ndarray
+    w1: np.ndarray
+    logw1: np.ndarray
+    w: np.ndarray
+    logw: np.ndarray
+    half_u2: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _tensor_grid(order) -> _TensorGrid:
     g = hermite_grid(order)
     u = math.sqrt(2.0) * g.nodes
+    w1 = g.std_weights
     logw1 = np.log(g.weights) - 0.5 * math.log(math.pi)
-    logw = logw1[:, None] + logw1[None, :]
-    half_u2 = 0.5 * (u[:, None] * u[:, None] + u[None, :] * u[None, :])
-    for a in (u, logw, half_u2):
+    grid = _TensorGrid(u, w1, logw1, np.multiply.outer(w1, w1),
+                       logw1[:, None] + logw1[None, :],
+                       0.5 * (u[:, None] * u[:, None] + u[None, :] * u[None, :]))
+    for a in grid:
         a.flags.writeable = False
-    return u, logw, half_u2
+    return grid
+
+
+# The rotated grid follows the x > 0 ridge and spaces its xi nodes about
+# sqrt(1 + x rho_z) apart, while the v = 0 half of the ReLU measure stays at
+# xi = O(1); so that half slips between the nodes as x grows: E[Z_out] = 1
+# reads 1 - 2e-3 at x = 20, 0.73 at 100 and 0.5 + 2e-8 at 1e3 (orders 64 to
+# 256), after which every order agrees to 1e-16 and no doubling can tell.
+# Psi_out and d_y Psi_out then lack that half, so larger x is refused.
+_ROTATED_X_MAX = 1e3
 
 
 def _field_grid(latent, x, y, order, rotate=True):
@@ -433,13 +459,17 @@ def _field_grid(latent, x, y, order, rotate=True):
 
     so the tensor Gauss-Hermite grid is mapped onto the principal axes of the
     resulting effective covariance with exact importance log-weights (a
-    change of sampling measure; exact for linear, near-optimal otherwise).
-    The caller must combine the returned log-weights with log Z, and must have
-    checked (x, y) with _check_fields.  A proxy covariance that is not finite
-    and positive definite (x near the float range) raises FloatingPointError.
+    change of sampling measure; exact for linear and for ReLU's x > 0 piece).
+    That covariance is [[1 + xV + xy, sqrt(xy)], [sqrt(xy), 1]] with
+    determinant 1 + xV, so its Cholesky factor needs no subtraction.  The
+    piece-mass evaluators (_sign_masses, _relu_masses) turn the fields and
+    log-weights into weighted masses; the caller must have checked (x, y)
+    with _check_fields.  The rotated grid refuses x above _ROTATED_X_MAX with
+    FloatingPointError.
     """
     V = latent.rho - y
-    u, logw, half_u2 = _tensor_grid(order)
+    tg = _tensor_grid(order)
+    u, logw = tg.u, tg.logw
     if not rotate:
         # plain tensor grid: best for the sign channel, whose Z shifts the
         # xi-mass without widening it (the proxy rotation would dilute nodes).
@@ -447,28 +477,21 @@ def _field_grid(latent, x, y, order, rotate=True):
         # against the (order, order) log-weights, so per-field work runs on
         # `order` values
         return math.sqrt(x) * u[:, None], math.sqrt(y) * u[None, :], logw, V
-    # effective precision P = I - H of the linear-proxy integrand
-    s = 1.0 / (1.0 + x * V)
-    c = math.sqrt(x * y)
-    p11 = 1.0 - x * V * s
-    p12 = -c * s
-    p22 = 1.0 + x * y * s
-    det_p = p11 * p22 - p12 * p12
-    cov = np.array([[p22, -p12], [-p12, p11]]) / det_p
-    if not (det_p > 0.0 and cov[0, 0] > 0.0 and np.all(np.isfinite(cov))):
-        raise FloatingPointError(f"Psi_out field grid: proxy covariance {cov.tolist()} "
-                                 f"is not finite and positive at x={x!r}, y={y!r}")
-    l11 = math.sqrt(cov[0, 0])
-    l21 = cov[1, 0] / l11
-    l22 = math.sqrt(max(cov[1, 1] - l21 * l21, 1e-300))
+    if not x <= _ROTATED_X_MAX:
+        raise FloatingPointError(f"Psi_out field grid: x={x!r} exceeds {_ROTATED_X_MAX:g}, "
+                                 f"where the rotated grid misses the v = 0 mass (y={y!r})")
+    one_xv = 1.0 + x * V
+    l11 = math.sqrt(one_xv + x * y)
+    l21 = math.sqrt(x * y) / l11
+    l22 = math.sqrt(one_xv) / l11
     u1 = u[:, None]
     u2 = u[None, :]
     # xi depends on the first axis only and broadcasts as an (order, 1) column
     xi = l11 * u1
     eta = l21 * u1 + l22 * u2
     # importance ratio N(v;0,I)/N(v;0,cov) on the mapped nodes
-    # (v^T cov^{-1} v = |u|^2 on the mapped grid; det cov = 1/det P)
-    logr = -0.5 * (xi * xi + eta * eta) + half_u2 - 0.5 * math.log(det_p)
+    # (v^T cov^{-1} v = |u|^2 on the mapped grid; det cov = 1 + xV)
+    logr = -0.5 * (xi * xi + eta * eta) + tg.half_u2 + 0.5 * math.log(one_xv)
     logw = logw + logr
     B = math.sqrt(x) * xi
     omega = math.sqrt(y) * eta
@@ -485,15 +508,66 @@ def _check_fields(latent, x, y):
         raise ValueError("need 0 <= y < rho_z (V = rho_z - y must stay positive)")
 
 
-def _out_field_moments(act, latent, x, y, order):
-    """(log-weights, log Z, E[v], E[x], omega, V) on the adapted (xi, eta) grid.
+# Sign and ReLU split at x = 0 into two pieces.  On the field grid every
+# quadrature reads only the weighted piece masses M- and M+ (quadrature weight
+# times the piece's share of Z_out) and the weighted N(omega, V) density at
+# the cut, through three per-node sums:
+#     z = w Z = M- + M+,   zv = w Z E[v],   zf = w Z f_out = w Z (E[x] - omega)/V
+# Each channel has one evaluator returning (z, zv, zf, log w); no log Z,
+# posterior weight or Mills ratio is formed per node.
 
-    Finite fields of a checked (x, y) need no array scan, and the variances
-    are never read, so the channel's moment core is called directly.
+def _sign_masses(latent, x, y, order):
+    """Piece sums of the sign channel on the plain tensor grid.
+
+    With B_i = sqrt(x) u_i, a_j = sqrt(y) u_j / sqrt(V) and p_i, n_i =
+    w_i exp(-x/2 +- B_i):  M+ = p_i w_j Phi(a_j), M- = n_i w_j Phi(-a_j), and
+    w Z f_out = (p_i - n_i) w_j phi(a_j) / sqrt(V), so every grid node costs
+    a few multiplications; transcendentals run on `order` values.
     """
-    B, omega, logw, V = _field_grid(latent, x, y, order, rotate=act.kind != "sign")
-    logz, ev, ex, _ = _MOMENTS[act.kind](B, x, omega, V)
-    return logw, logz, ev, ex, omega, V
+    B, omega, logw, V = _field_grid(latent, x, y, order, rotate=False)
+    tg = _tensor_grid(order)
+    s = math.sqrt(V)
+    b = B[:, 0]
+    a0 = omega[0] / s
+    p = np.exp(tg.logw1 - 0.5 * x + b)
+    n = np.exp(tg.logw1 - 0.5 * x - b)
+    d = p - n
+    mp = np.multiply.outer(p, tg.w1 * sp.ndtr(a0))
+    mn = np.multiply.outer(n, tg.w1 * sp.ndtr(-a0))
+    zf = np.multiply.outer(d, tg.w1 * np.exp(-0.5 * a0 * a0) / (math.sqrt(2.0 * math.pi) * s))
+    return mp + mn, mp - mn, zf, logw
+
+
+def _relu_masses(latent, x, y, order):
+    """Piece sums of the ReLU channel on the rotated grid.
+
+    x < 0 has v = 0 and mass M- = w Phi(-a0), a0 = omega/s, s = sqrt(V);
+    x > 0 is a Gaussian of precision x + 1/V and mean m, whose mass and first
+    moment meet M- at the cut through w phi(a0):
+        M- (E[x|x<0] - omega) = -s w phi(a0)
+        M+ (E[x|x>0] - omega) = M+ (m - omega) + (s / (1 + xV)) w phi(a0)
+    The x > 0 piece is the linear channel times Phi(mt), and the rotated grid
+    weights the linear channel exactly, so M+ = W Phi(mt) with W the tensor
+    Gauss-Hermite weight: no exponent is formed for it, where the
+    exponent c1^2/2c2 - omega^2/2V would cancel to a few digits as V -> 0.
+    With k = 1/(1 + xV): m = k (B V + omega), (m - omega)/V = k (B - x omega)
+    and mt = m / sqrt(kV).
+    """
+    B, omega, logw, V = _field_grid(latent, x, y, order)
+    W = _tensor_grid(order).w
+    s = math.sqrt(V)
+    k = 1.0 / (1.0 + x * V)
+    m = (B * V + omega) * k
+    dm = (B - x * omega) * k          # (m - omega) / V
+    na0 = omega * (-1.0 / s)
+    mp = W * sp.ndtr(m * (1.0 / math.sqrt(k * V)))
+    mn = np.exp(logw) * sp.ndtr(na0)
+    # (s / (1 + xV)) w phi(a0)
+    wphi = np.exp(logw - 0.5 * na0 * na0) * (s * k / math.sqrt(2.0 * math.pi))
+    return mn + mp, mp * m + wphi, mp * dm - x * wphi, logw
+
+
+_FIELD_MASSES = {"sign": _sign_masses, "relu": _relu_masses}
 
 
 def _grid_sum(terms, x, y) -> float:
@@ -508,12 +582,13 @@ def psi_out(act: Activation, latent: SeparablePrior, x: float, y: float,
             order: int = 64, adaptive: bool = True) -> float:
     """Psi_out(x, y) as a tensor-product Gauss-Hermite expectation of Z log Z.
 
+    On the grid that is sum z (log z - log w) over the weighted masses z = w Z.
     The linear channel has it in closed form, the integral of its gradients
     (see psi_out_grads): Psi_out = (rho_z x - log(1 + x (rho_z - y))) / 2.
     """
     def val(n):
-        logw, logz, *_ = _out_field_moments(act, latent, x, y, n)
-        return _grid_sum(np.exp(logw + logz) * logz, x, y)
+        z, _, _, logw = _FIELD_MASSES[act.kind](latent, x, y, n)
+        return _grid_sum(sp.xlogy(z, z) - z * logw, x, y)
 
     _check_fields(latent, x, y)
     if act.kind == "linear":
@@ -531,8 +606,9 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
     """(d/dx, d/dy) of Psi_out via the moment identities.
 
     2 d_x Psi_out = E[Z_out f_v^2] and 2 d_y Psi_out = E[Z_out f_out^2],
-    evaluated on the same quadrature grid as psi_out.  The linear channel
-    has them in closed form, with V = rho_z - y:
+    evaluated on the same quadrature grid as psi_out as sums of zv^2/z and
+    zf^2/z over the weighted piece sums.  The linear channel has them in
+    closed form, with V = rho_z - y:
 
         2 d_x Psi_out = y + x V^2 / (1 + x V),   2 d_y Psi_out = x / (1 + x V)
 
@@ -540,11 +616,12 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
     latent, and `order`/`adaptive` are unused there.
     """
     def val(n):
-        logw, logz, ev, ex, omega, V = _out_field_moments(act, latent, x, y, n)
-        zw = np.exp(logw + logz)
-        fout = (ex - omega) / V
-        return (0.5 * _grid_sum(zw * ev * ev, x, y),
-                0.5 * _grid_sum(zw * fout * fout, x, y))
+        z, zv, zf, _ = _FIELD_MASSES[act.kind](latent, x, y, n)
+        # a mass below the smallest normal float carries terms that underflow
+        # anyway; the floor only keeps 0/0 out of the sums
+        r = 1.0 / np.maximum(z, _TINY)
+        return (0.5 * _grid_sum(zv * zv * r, x, y),
+                0.5 * _grid_sum(zf * zf * r, x, y))
 
     _check_fields(latent, x, y)
     if act.kind == "linear":
@@ -561,7 +638,11 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
 
 def out_channel_normalization(act: Activation, latent: SeparablePrior,
                               x: float, y: float, order: int = 64) -> float:
-    """E_{xi,eta}[Z_out] at matched (x, y); equals 1 under the planted measure."""
+    """E_{xi,eta}[Z_out] at matched (x, y); equals 1 under the planted measure.
+
+    The linear channel's is 1 in closed form (a Gaussian convolution)."""
     _check_fields(latent, x, y)
-    logw, logz, *_ = _out_field_moments(act, latent, x, y, order)
-    return _grid_sum(np.exp(logw + logz), x, y)
+    if act.kind == "linear":
+        return 1.0
+    z, *_ = _FIELD_MASSES[act.kind](latent, x, y, order)
+    return _grid_sum(z, x, y)

@@ -160,6 +160,12 @@ def _init_state(init: str, rv: float, rz: float,
     return OverlapState(rv * keep, rz * keep, 0.0, None if ru is None else ru * keep)
 
 
+def _deflation(t) -> float:
+    """1 + 1/|t|^2, scaled by max |t_i| so that no square overflows."""
+    m = np.max(np.abs(t))
+    return 1.0 + (1.0 / m) ** 2 / np.sum((t / m) ** 2)
+
+
 def _iterate(state: OverlapState, step, residual, cfg: SEConfig):
     """The damped fallback: at most cfg.max_iter steps of `step`.
 
@@ -239,7 +245,7 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
             state = damped(state)
         evals = _PREFIX
         deflated = deflate and init == "uninformative"
-        g = (lambda x: f(x) * (1.0 + 1.0 / np.sum((x / scale) ** 2))) if deflated else f
+        g = (lambda x: f(x) * _deflation(x / scale)) if deflated else f
         sol = root(lambda y: g(y - shift), np.array(state.as_tuple()) + shift,
                    method="hybr", options={"xtol": cfg.tol})
         found = project(sol.x - shift)

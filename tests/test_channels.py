@@ -12,6 +12,9 @@ from spikedgen.priors import LINEAR, SIGN, RELU, gauss_prior, rademacher_prior
 
 GAUSS1 = gauss_prior(1.0)
 
+# a new overflow or invalid value in the quadrature code fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -225,10 +228,11 @@ def test_log_ndtr_mills_matches_scipy():
     assert mills[-1] == mills[-2] == math.sqrt(2.0 / math.pi)
 
 
-@pytest.mark.parametrize("x", [1e16, 1e20, 1.7e308])
+@pytest.mark.parametrize("x", [1e12, 1e14, 1e16, 1e20, 1.7e308])
 def test_relu_field_grid_refuses_huge_x(x):
-    # the proxy covariance loses positivity (or the sums overflow) near the
-    # float range; a non-finite gradient must not reach state evolution
+    # past _ROTATED_X_MAX the rotated grid has no node on the v = 0 half of
+    # the measure (d_y Psi_out reads 0.5 where it tends to 0.74), and near the
+    # float range the sums overflow: neither may reach state evolution
     for fn in (ch.psi_out_grads, ch.psi_out):
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             fn(RELU, GAUSS1, x, 0.5)
@@ -402,11 +406,17 @@ def test_linear_grads_closed_form_match_quadrature():
                 assert abs(got[1] - want[1]) <= 1e-12
                 B, omega, logw, V = grid
                 logz, *_ = ch.out_moments(LINEAR, B, x, omega, V)
-                want = float(np.sum(np.exp(logw + logz) * logz))
+                zw = np.exp(logw + logz)
+                want = float(np.sum(zw * logz))
                 assert abs(ch.psi_out(LINEAR, latent, x, y) - want) <= 1e-12
+                # the grid is exact for the linear channel, whose E[Z_out] = 1
+                # out_channel_normalization takes in closed form
+                assert abs(float(np.sum(zw)) - 1.0) <= 1e-12
 
 
 def test_sign_separable_grid_matches_materialised_grid():
+    # the piece-mass kernels and out_moments on the same nodes are two
+    # routes to the same sums; test_grid_sums_match_mpmath pins their accuracy
     order = 64
     g = ch.hermite_grid(order)
     u = math.sqrt(2.0) * g.nodes
@@ -419,20 +429,98 @@ def test_sign_separable_grid_matches_materialised_grid():
         B_full = math.sqrt(x) * u[:, None] + np.zeros((1, order))
         omega_full = math.sqrt(y) * u[None, :] + np.zeros((order, 1))
         logw_full = logw1[:, None] + logw1[None, :]
-        assert ch.psi_out_grads(SIGN, GAUSS1, x, y, order=order, adaptive=False) == \
-            _grads_on_grid(SIGN, x, B_full, omega_full, logw_full, V)
-        logz, *_ = ch.out_moments(SIGN, B_full, x, omega_full, V)
-        assert ch.psi_out(SIGN, GAUSS1, x, y, order=order, adaptive=False) == \
-            float(np.sum(np.exp(logw_full + logz) * logz))
+        assert np.array_equal(logw, logw_full)
+        full = ch.out_moments(SIGN, B_full, x, omega_full, V)
+        for a, b in zip(ch.out_moments(SIGN, B, x, omega, V), full):
+            assert np.array_equal(np.broadcast_to(a, (order, order)), b)
+        want = _grads_on_grid(SIGN, x, B_full, omega_full, logw_full, V)
+        got = ch.psi_out_grads(SIGN, GAUSS1, x, y, order=order, adaptive=False)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+        logz = full[0]
+        want = float(np.sum(np.exp(logw_full + logz) * logz))
+        assert abs(ch.psi_out(SIGN, GAUSS1, x, y, order=order, adaptive=False) - want) <= 1e-14
         # ReLU runs on the rotated grid, whose fields are full (order, order)
-        # arrays already; its moment core must reproduce out_moments bit for bit
+        # arrays already
         grid = ch._field_grid(GAUSS1, x, y, order)
-        assert ch.psi_out_grads(RELU, GAUSS1, x, y, order=order, adaptive=False) == \
-            _grads_on_grid(RELU, x, *grid)
+        want = _grads_on_grid(RELU, x, *grid)
+        got = ch.psi_out_grads(RELU, GAUSS1, x, y, order=order, adaptive=False)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
         B, omega, logw, V = grid
         logz, *_ = ch.out_moments(RELU, B, x, omega, V)
-        assert ch.psi_out(RELU, GAUSS1, x, y, order=order, adaptive=False) == \
-            float(np.sum(np.exp(logw + logz) * logz))
+        want = float(np.sum(np.exp(logw + logz) * logz))
+        assert abs(ch.psi_out(RELU, GAUSS1, x, y, order=order, adaptive=False) - want) <= 1e-14
+
+
+def _mp_grid_sums(act, latent, x, y, order):
+    """(normalisation, Psi_out, d_x, d_y) on the kernel's own nodes, in 40 digits.
+
+    Sign: the float fields B_i = sqrt(x) u_i, omega_j = sqrt(y) u_j and the
+    float log-weights are taken as exact.  ReLU: the float Gauss-Hermite nodes
+    u and weights are taken as exact and mapped in 40 digits onto the
+    principal axes of the linear-proxy covariance
+    [[1 + x rho_z, sqrt(xy)], [sqrt(xy), 1]], with importance weights; the
+    kernel's x > 0 mass is exact on that map, so the map's rounding counts as
+    kernel error.  Z_out, E[v] and E[x] come from the truncated-Gaussian
+    moments of each half-line.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    A, Y = mp.mpf(x), mp.mpf(y)
+    V = mp.mpf(latent.rho) - Y
+    s = mp.sqrt(V)
+    c2 = A + 1 / V
+    s2 = 1 / mp.sqrt(c2)
+    if act.kind == "sign":
+        B, omega, logw, _ = ch._field_grid(latent, x, y, order, rotate=False)
+        nodes = [(mp.mpf(b), mp.mpf(om), mp.exp(mp.mpf(lw)))
+                 for b, om, lw in zip(*(a.ravel() for a in np.broadcast_arrays(B, omega, logw)))]
+    else:
+        g = ch.hermite_grid(order)
+        u = [mp.mpf(t) for t in ch._tensor_grid(order).u]
+        wu = [mp.mpf(w) for w in g.std_weights]
+        l11 = mp.sqrt(1 + A * (V + Y))
+        l21, l22 = mp.sqrt(A * Y) / l11, mp.sqrt(1 + A * V) / l11
+        nodes = []
+        for u1, w1 in zip(u, wu):
+            for u2, w2 in zip(u, wu):
+                xi, eta = l11 * u1, l21 * u1 + l22 * u2
+                ratio = mp.exp((u1 * u1 + u2 * u2 - xi * xi - eta * eta) / 2) * l11 * l22
+                nodes.append((mp.sqrt(A) * xi, mp.sqrt(Y) * eta, w1 * w2 * ratio))
+    sums = [mp.mpf(0)] * 4
+    for b, om, w in nodes:
+        a0 = om / s
+        # N(omega, V) mass and first moment on x < 0 and x > 0
+        mass_n, mass_p = mp.ncdf(-a0), mp.ncdf(a0)
+        first_n = om * mass_n - s * mp.npdf(a0)
+        first_p = om * mass_p + s * mp.npdf(a0)
+        if act.kind == "sign":
+            tn, tp = mp.exp(-A / 2 - b), mp.exp(-A / 2 + b)
+            z = tn * mass_n + tp * mass_p
+            zv = tp * mass_p - tn * mass_n
+            zx = tn * first_n + tp * first_p
+        else:
+            c1 = b + om / V
+            m = c1 / c2
+            tilt = mp.exp(c1 * c1 / (2 * c2) - om * om / (2 * V)) * s2 / s
+            zv = tilt * (m * mp.ncdf(m / s2) + s2 * mp.npdf(m / s2))
+            z = mass_n + tilt * mp.ncdf(m / s2)
+            zx = first_n + zv
+        ev, fout = zv / z, (zx / z - om) / V
+        for i, term in enumerate((1, mp.log(z), ev * ev / 2, fout * fout / 2)):
+            sums[i] += w * z * term
+    return [float(t) for t in sums]
+
+
+@pytest.mark.parametrize("act", [SIGN, RELU], ids=["sign", "relu"])
+@pytest.mark.parametrize("x, y", [(0.3, 0.2), (2.0, 0.4), (19.0, 0.9),
+                                  (0.7087, GAUSS1.rho - 1e-6)])
+def test_grid_sums_match_mpmath(act, x, y):
+    order = 16
+    norm, psi, gx, gy = _mp_grid_sums(act, GAUSS1, x, y, order)
+    got = ch.psi_out_grads(act, GAUSS1, x, y, order=order, adaptive=False)
+    assert abs(got[0] - gx) <= 4e-15 and abs(got[1] - gy) <= 4e-15
+    assert abs(ch.psi_out(act, GAUSS1, x, y, order=order, adaptive=False) - psi) <= 4e-15
+    assert abs(ch.out_channel_normalization(act, GAUSS1, x, y, order=order) - norm) <= 4e-15
 
 
 def test_psi_out_dy_nonnegative(any_act):

@@ -337,8 +337,8 @@ def test_huge_alpha_fails_cleanly(capsys, argv):
 
 
 def test_relu_se_at_tiny_delta_is_numerical_failure(capsys):
-    # x = q_v / Delta near 1e20 leaves the ReLU field grid without a positive
-    # proxy covariance: a numerical failure (exit 3), not a traceback
+    # x = q_v / Delta near 1e20 is far past the ReLU field grid's range:
+    # a numerical failure (exit 3), not a traceback
     assert run_main(["se", "--activation", "relu", "--alpha", "2",
                      "--delta", "1e-20"]) == 3
     err = capsys.readouterr().err

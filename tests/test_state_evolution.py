@@ -1,5 +1,6 @@
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from spikedgen.priors import (LINEAR, RELU, SIGN, Wigner, Wishart, gauss_prior,
                               rademacher_prior, rho_v)
 
 GAUSS1 = gauss_prior(1.0)
+
+# a new overflow or invalid value in the SE or quadrature code fails loudly
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def closed_linear_step(qv, qz, delta, alpha):
@@ -313,6 +317,17 @@ def test_mutual_information_nonnegative_at_large_alpha(alpha):
     # is off by 5e-5, enough to make i_RS negative
     i_rs, _ = se.mutual_information(1.0, alpha, LINEAR, GAUSS1)
     assert i_rs >= 0.0
+
+
+def test_deflation_at_huge_alpha_raises_no_warning():
+    # q_hat_z near 1e200 enters the deflation factor 1 + 1/|s/scale|^2, whose
+    # squares overflowed before they were scaled by max |s_i/scale_i|
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        i_rs, _ = se.mutual_information(1.0, 1e200, LINEAR, GAUSS1)
+    assert i_rs >= 0.0
+    assert se._deflation(np.array([1e200, 1e-3, 0.5])) == 1.0
+    assert se._deflation(np.array([3.0, -4.0])) == pytest.approx(1.04, rel=1e-15)
 
 
 def test_immse_finite_difference():
