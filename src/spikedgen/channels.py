@@ -9,17 +9,19 @@ For the deterministic channels shipped here (v = phi(x)) the v-integral
 collapses and every moment of Q_out is a one-dimensional integral over x:
 closed form for the linear channel (Gaussian convolution), erf-based closed
 forms for sign (stable down to V -> 0), and truncated-Gaussian closed forms
-for ReLU (piecewise Gauss-Legendre split at the kink is the reference path).
+for ReLU (the tests check them against an independent piecewise
+Gauss-Legendre quadrature split at the kink, in tests/oracles.py).
 Each channel has one moment core, giving log Z_out, E[v], E[x] and, on
 demand, the two variances, on fast ufuncs: log-sum-exp as
 max + log1p(exp(-|a - b|)), and ReLU's log Phi and Mills ratio from one erfcx
-per argument.  `out_moments` is the checked array entry point that AMP reads:
-input checks, the core, then the variances.
+per argument.  `out_moments` and `latent_moments` are the array entry points
+that AMP reads; every scalar denoiser is one of their moments, e.g.
+f_{v} = E[v], f_{out} = (E[x] - omega)/V and df_{out} = Var[x]/V^2 - 1/V.
 
 The free-entropy integrals Psi_z / Psi_out and their gradients are
 Gauss-Hermite expectations over the effective Gaussian fields; gradients use
-the moment identities 2 d_x Psi_out = E[Z_out f_v^2] and
-2 d_y Psi_out = E[Z_out f_out^2] rather than finite differences.  The linear
+the moment identities 2 d_x Psi_out = E[Z_out f_{v}^2] and
+2 d_y Psi_out = E[Z_out f_{out}^2] rather than finite differences.  The linear
 channel's Psi_out and its gradients are closed form; the (xi, eta) grid
 serves sign and ReLU, whose quadratures check (x, y) once as scalars and then
 read only the two half-line masses of each node and the density at the cut,
@@ -37,16 +39,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as sp
 
-from .priors import Activation, SeparablePrior, gauss_legendre
+from .priors import Activation, SeparablePrior
 
 _LOG2PI = math.log(2.0 * math.pi)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_LOG_UNDERFLOW = math.log(1e-300)
 _TINY = np.finfo(float).tiny
-
-
-class ChannelUnderflowError(FloatingPointError):
-    """Raised when Z_out underflows below 1e-300 (diagnostic, not a zero)."""
 
 
 # ---------------------------------------------------------------------------
@@ -78,36 +75,6 @@ def hermite_grid(order: int = 64) -> QuadGrid:
         raise ValueError("Gauss-Hermite order capped at 320")
     t, w = np.polynomial.hermite.hermgauss(order)
     return QuadGrid(order=order, nodes=t, weights=w)
-
-
-# ---------------------------------------------------------------------------
-# parameter bundles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DenoiserParams:
-    B: float
-    A: float
-    omega: float
-    V: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.B)) or not np.all(np.isfinite(self.omega)):
-            raise ValueError("non-finite denoiser parameters")
-        if not np.all(np.asarray(self.V) > 0):
-            raise ValueError("V must be positive")
-        if not np.all(np.asarray(self.A) >= 0):
-            raise ValueError("A must be nonnegative in Bayes-optimal usage")
-
-
-@dataclass(frozen=True)
-class LatentParams:
-    gamma: float
-    Lambda: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.Lambda) >= 0):
-            raise ValueError("Lambda must be nonnegative in Bayes-optimal usage")
 
 
 # ---------------------------------------------------------------------------
@@ -169,46 +136,6 @@ def _moments_sign(B, A, omega, V):
     return logz, v_mean, x_mean, lambda: (1.0 - v_mean ** 2, V - tau * x_mean)
 
 
-# ReLU quadrature: each half-line carries an exact Gaussian integrand, so the
-# window is the +-sqrt(90) effective sigmas around the (possibly truncated)
-# peak -- a 1e-20 tail cut -- split into three equal Gauss-Legendre panels.
-_RELU_NODES_PER_PANEL = 24
-_RELU_EFOLDS = 90.0  # 2 * (45 e-folds of integrand decay)
-
-
-def _panel_nodes(edges, gl_t, gl_w):
-    """Nodes/weights for composite Gauss-Legendre over consecutive panel edges.
-
-    edges: (..., P+1) monotone; degenerate (zero-width) panels contribute 0.
-    Returns nodes and weights of shape (..., P * len(gl_t)).
-    """
-    lo = edges[..., :-1]
-    hi = edges[..., 1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = mid[..., None] + half[..., None] * gl_t
-    w = half[..., None] * gl_w
-    shape = x.shape[:-2] + (-1,)
-    return x.reshape(shape), w.reshape(shape)
-
-
-def _halfline_window(m, inv_var, side):
-    """[lo, hi] covering exp(-inv_var (x-m)^2 / 2) on the half-line.
-
-    side=-1 covers x <= 0, side=+1 covers x >= 0.  When the peak m lies on the
-    wrong side the window tracks the truncated tail until the integrand has
-    dropped by _RELU_EFOLDS/2 e-folds relative to the endpoint value.
-    """
-    reach = np.sqrt(np.minimum(m * side, 0.0) ** 2 + _RELU_EFOLDS / inv_var)
-    if side > 0:
-        lo = np.maximum(0.0, m - reach)
-        hi = np.maximum(0.0, m + reach)
-    else:
-        lo = np.minimum(0.0, m - reach)
-        hi = np.minimum(0.0, m + reach)
-    return lo, hi
-
-
 def _moments_relu(B, A, omega, V):
     """ReLU moments in closed form: each half-line is a truncated Gaussian.
 
@@ -247,41 +174,6 @@ def _moments_relu(B, A, omega, V):
     return logz, ev, ex, variances
 
 
-def relu_moments_quadrature(B, A, omega, V, nodes_per_panel=_RELU_NODES_PER_PANEL):
-    """Piecewise Gauss-Legendre reference path for the ReLU moments."""
-    B, A, omega, V = np.broadcast_arrays(B, A, omega, V)
-    gl_t, gl_w = gauss_legendre(nodes_per_panel)
-    frac = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    # piece x <= 0: tilt is 1, effective Gaussian is N(omega, V)
-    lo, hi = _halfline_window(omega, 1.0 / V, side=-1)
-    edges_n = lo[..., None] + (hi - lo)[..., None] * frac
-    xn, wn = _panel_nodes(edges_n, gl_t, gl_w)
-    # piece x >= 0: exponent -(x-omega)^2/2V - A x^2/2 + B x is Gaussian with
-    # precision c2 and mean m
-    c2 = A + 1.0 / V
-    c1 = B + omega / V
-    m = c1 / c2
-    lo, hi = _halfline_window(m, c2, side=+1)
-    edges_p = lo[..., None] + (hi - lo)[..., None] * frac
-    xp, wp = _panel_nodes(edges_p, gl_t, gl_w)
-
-    x = np.concatenate([xn, xp], axis=-1)
-    w = np.concatenate([wn, wp], axis=-1)
-    expo = -0.5 * (x - omega[..., None]) ** 2 / V[..., None]
-    pos = x > 0
-    expo = expo + np.where(pos, -0.5 * A[..., None] * x * x + B[..., None] * x, 0.0)
-    emax = np.max(expo, axis=-1, keepdims=True)
-    f = w * np.exp(expo - emax)
-    z0 = np.sum(f, axis=-1)
-    v = np.where(pos, x, 0.0)
-    ev = np.sum(f * v, axis=-1) / z0
-    evv = np.sum(f * v * v, axis=-1) / z0
-    ex = np.sum(f * x, axis=-1) / z0
-    exx = np.sum(f * x * x, axis=-1) / z0
-    logz = np.log(z0) + emax[..., 0] - 0.5 * np.log(2.0 * math.pi * V)
-    return logz, ev, evv - ev ** 2, ex, exx - ex ** 2
-
-
 _MOMENTS = {"linear": _moments_linear, "sign": _moments_sign, "relu": _moments_relu}
 
 
@@ -301,36 +193,8 @@ def out_moments(act: Activation, B, A, omega, V):
     return logz, ev, var_v, ex, var_x
 
 
-def z_out(act: Activation, dp: DenoiserParams) -> float:
-    logz, *_ = out_moments(act, dp.B, dp.A, dp.omega, dp.V)
-    if logz < _LOG_UNDERFLOW:
-        # max-subtraction keeps log Z finite; refuse to round the value to 0
-        raise ChannelUnderflowError(f"Z_out underflow: log Z = {float(logz):.1f}")
-    return float(np.exp(logz))
-
-
-def f_v(act: Activation, dp: DenoiserParams) -> float:
-    _, ev, *_ = out_moments(act, dp.B, dp.A, dp.omega, dp.V)
-    return float(ev)
-
-
-def df_v(act: Activation, dp: DenoiserParams) -> float:
-    _, _, vv, *_ = out_moments(act, dp.B, dp.A, dp.omega, dp.V)
-    return float(vv)
-
-
-def f_out(act: Activation, dp: DenoiserParams) -> float:
-    _, _, _, ex, _ = out_moments(act, dp.B, dp.A, dp.omega, dp.V)
-    return float((ex - dp.omega) / dp.V)
-
-
-def df_out(act: Activation, dp: DenoiserParams) -> float:
-    _, _, _, _, xvar = out_moments(act, dp.B, dp.A, dp.omega, dp.V)
-    return float(xvar / dp.V ** 2 - 1.0 / dp.V)
-
-
 # ---------------------------------------------------------------------------
-# latent / u-factor denoisers (closed forms; quadrature only in tests)
+# latent / u-factor moments (closed forms)
 # ---------------------------------------------------------------------------
 
 def latent_moments(prior: SeparablePrior, gamma, lam):
@@ -349,55 +213,30 @@ def latent_moments(prior: SeparablePrior, gamma, lam):
     return logz, mean, 1.0 - mean ** 2
 
 
-def z_z(prior: SeparablePrior, lp: LatentParams) -> float:
-    logz, *_ = latent_moments(prior, lp.gamma, lp.Lambda)
-    return float(np.exp(logz))
-
-
-def f_z(prior: SeparablePrior, lp: LatentParams) -> float:
-    return float(latent_moments(prior, lp.gamma, lp.Lambda)[1])
-
-
-def df_z(prior: SeparablePrior, lp: LatentParams) -> float:
-    return float(latent_moments(prior, lp.gamma, lp.Lambda)[2])
-
-
-def f_u(prior_u: SeparablePrior, B: float, A: float) -> float:
-    return float(latent_moments(prior_u, B, A)[1])
-
-
-def df_u(prior_u: SeparablePrior, B: float, A: float) -> float:
-    return float(latent_moments(prior_u, B, A)[2])
-
-
 # ---------------------------------------------------------------------------
 # free-entropy integrals
 # ---------------------------------------------------------------------------
 
-def _psi_z_once(prior: SeparablePrior, x: float, order: int) -> float:
-    # planted form: E_{z*,xi}[ log Z_z(x z* + sqrt(x) xi, x) ]; integrands stay
-    # polynomially bounded so Gauss-Hermite is safe at any x
-    g = hermite_grid(order)
-    xi = g.std_nodes
-    w = g.std_weights
-    if prior.kind == "gauss":
-        return x * prior.rho / 2.0 - 0.5 * math.log1p(x * prior.rho)
-    gamma = x + math.sqrt(x) * xi     # z* = +1 by symmetry
-    logz, _, _ = latent_moments(prior, gamma, x)
-    return float(np.sum(w * logz))
-
-
 def psi_z(prior: SeparablePrior, x: float, order: int = 64) -> float:
-    """Psi_z(x) = E_xi[ Z_z(sqrt(x) xi, x) log Z_z(sqrt(x) xi, x) ]; Psi_z(0) = 0."""
+    """Psi_z(x) = E_xi[ Z_z(sqrt(x) xi, x) log Z_z(sqrt(x) xi, x) ]; Psi_z(0) = 0.
+
+    Taken in the planted form E_{z*,xi}[ log Z_z(x z* + sqrt(x) xi, x) ], whose
+    integrand stays polynomially bounded, so Gauss-Hermite is safe at any x.
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0
-    return _psi_z_once(prior, x, order)
+    if prior.kind == "gauss":
+        return x * prior.rho / 2.0 - 0.5 * math.log1p(x * prior.rho)
+    g = hermite_grid(order)
+    gamma = x + math.sqrt(x) * g.std_nodes     # z* = +1 by symmetry
+    logz, _, _ = latent_moments(prior, gamma, x)
+    return float(np.sum(g.std_weights * logz))
 
 
 def psi_z_grad2(prior: SeparablePrior, x: float, order: int = 64) -> float:
-    """2 d/dx Psi_z(x) = E_xi[Z_z f_z^2], the latent overlap update."""
+    """2 d/dx Psi_z(x) = E_xi[Z_z f_{z}^2], the latent overlap update."""
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
@@ -512,7 +351,7 @@ def _check_fields(latent, x, y):
 # quadrature reads only the weighted piece masses M- and M+ (quadrature weight
 # times the piece's share of Z_out) and the weighted N(omega, V) density at
 # the cut, through three per-node sums:
-#     z = w Z = M- + M+,   zv = w Z E[v],   zf = w Z f_out = w Z (E[x] - omega)/V
+#     z = w Z = M- + M+,   zv = w Z E[v],   zf = w Z f_{out} = w Z (E[x] - omega)/V
 # Each channel has one evaluator returning (z, zv, zf, log w); no log Z,
 # posterior weight or Mills ratio is formed per node.
 
@@ -521,7 +360,7 @@ def _sign_masses(latent, x, y, order):
 
     With B_i = sqrt(x) u_i, a_j = sqrt(y) u_j / sqrt(V) and p_i, n_i =
     w_i exp(-x/2 +- B_i):  M+ = p_i w_j Phi(a_j), M- = n_i w_j Phi(-a_j), and
-    w Z f_out = (p_i - n_i) w_j phi(a_j) / sqrt(V), so every grid node costs
+    w Z f_{out} = (p_i - n_i) w_j phi(a_j) / sqrt(V), so every grid node costs
     a few multiplications; transcendentals run on `order` values.
     """
     B, omega, logw, V = _field_grid(latent, x, y, order, rotate=False)
@@ -605,7 +444,7 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
                   order: int = 64, adaptive: bool = True) -> tuple[float, float]:
     """(d/dx, d/dy) of Psi_out via the moment identities.
 
-    2 d_x Psi_out = E[Z_out f_v^2] and 2 d_y Psi_out = E[Z_out f_out^2],
+    2 d_x Psi_out = E[Z_out f_{v}^2] and 2 d_y Psi_out = E[Z_out f_{out}^2],
     evaluated on the same quadrature grid as psi_out as sums of zv^2/z and
     zf^2/z over the weighted piece sums.  The linear channel has them in
     closed form, with V = rho_z - y:
@@ -634,15 +473,3 @@ def psi_out_grads(act: Activation, latent: SeparablePrior, x: float, y: float,
         if abs(gx2 - gx) > 1e-9 or abs(gy2 - gy) > 1e-9:
             return gx2, gy2
     return gx, gy
-
-
-def out_channel_normalization(act: Activation, latent: SeparablePrior,
-                              x: float, y: float, order: int = 64) -> float:
-    """E_{xi,eta}[Z_out] at matched (x, y); equals 1 under the planted measure.
-
-    The linear channel's is 1 in closed form (a Gaussian convolution)."""
-    _check_fields(latent, x, y)
-    if act.kind == "linear":
-        return 1.0
-    z, *_ = _FIELD_MASSES[act.kind](latent, x, y, order)
-    return _grid_sum(z, x, y)

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from . import amp as amp_mod
-from . import channels
 from . import rmt as rmt_mod
 from . import spectral as spectral_mod
 from . import state_evolution as se_mod
@@ -645,8 +644,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (amp_mod.AmpDivergenceError, channels.ChannelUnderflowError,
-            rmt_mod.NegativeSupportError, FloatingPointError, RuntimeError) as exc:
+    except (amp_mod.AmpDivergenceError, rmt_mod.NegativeSupportError,
+            FloatingPointError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

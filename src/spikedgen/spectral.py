@@ -250,7 +250,7 @@ def _lanczos_top2(matvec, dim: int, rng: np.random.Generator, tol: float,
 
 @dataclass
 class SpectralResult:
-    eigenvalues: tuple
+    eigenvalues: tuple           # (first, second); an absent pair is None
     eigenvector: np.ndarray      # normalized to |v|^2 = p
     overlap_sq: float | None
     iters: int
@@ -281,21 +281,32 @@ def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
     operator without a PSD preconditioner cannot be built (`LampCoeffs`
     rejects anything but a >= b >= 0, `build_cov_lamp` a Sigma_hat that is
     not symmetric PSD).
+
+    When F has a null space (a rank-deficient Sigma_hat) and the second Ritz
+    vector y lies in it, F y is rounding noise, not an eigenvector of Gamma:
+    with |F y|^2 <= dim eps |F y_1|^2 the second eigenvalue and residual are
+    None.  Only a Ritz vector in null(F), whose Ritz value is 0 to rounding,
+    meets that test.
     """
     def matvec(y):
         return op.factor_rapply(op.data_apply(op.factor_apply(y))) / op.delta
 
-    vals, vecs, iters = _lanczos_top2(matvec, op.factor_dim(), make_rng(seed),
-                                      tol, max_iter)
-    top = _normalize_to_p(op.factor_apply(vecs[:, 0]), op.p)
+    dim = op.factor_dim()
+    vals, vecs, iters = _lanczos_top2(matvec, dim, make_rng(seed), tol, max_iter)
+    first = op.factor_apply(vecs[:, 0])
     second = op.factor_apply(vecs[:, 1])
-    residuals = []
-    for lam, vec in ((vals[0], top), (vals[1], second)):
-        nrm = np.linalg.norm(vec)
-        residuals.append(float(np.linalg.norm(op.apply(vec) - lam * vec) / nrm))
-    return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),
-                          eigenvector=top, overlap_sq=_overlap_sq(top, truth),
-                          iters=iters, residuals=tuple(residuals))
+    top = _normalize_to_p(first, op.p)
+    pairs = [(vals[0], top)]
+    if np.linalg.norm(second) ** 2 > dim * _EPS * np.linalg.norm(first) ** 2:
+        pairs.append((vals[1], second))
+    eigenvalues, residuals = [None, None], [None, None]
+    for i, (lam, vec) in enumerate(pairs):
+        eigenvalues[i] = float(lam)
+        residuals[i] = float(np.linalg.norm(op.apply(vec) - lam * vec)
+                             / np.linalg.norm(vec))
+    return SpectralResult(eigenvalues=tuple(eigenvalues), eigenvector=top,
+                          overlap_sq=_overlap_sq(top, truth), iters=iters,
+                          residuals=tuple(residuals))
 
 
 def pca_estimate(inst: SpikedInstance, seed: int = 0,

