@@ -14,9 +14,10 @@ builds, each with its own thread pool whose threads spin for a while after a
 call, so a call into one library right after a call into the other runs at
 about half speed while the idle pool still holds the cores.  The products are
 made on the Fortran-ordered `.T` view of the C-ordered W and Y, so f2py copies
-no matrix.  The Wigner pass uses `dsymv`, which reads one triangle of Y, half
-the bytes of a full pass; that is exact because `sample_wigner` makes
-Y == Y^T bit for bit (a Wigner Y built by hand must be symmetric too).
+no matrix.  The Wigner pass uses `dsymv`, which reads only the lower
+triangle of Y (row >= column), half the bytes of a full pass.  That triangle
+is all that `sample_wigner` stores; a dense symmetric Y built by hand gives
+the same v_hat bit for bit, and of any other Y only that triangle counts.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def _gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
 
 
 def _symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Y x for a C-ordered Y == Y^T, through dsymv on one triangle of Y.T."""
+    """Y x for the symmetric Y whose lower triangle the C-ordered Y holds,
+    through dsymv on the upper triangle of the F-ordered Y.T."""
     return blas.dsymv(1.0, Y.T, x)
 
 

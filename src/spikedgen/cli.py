@@ -29,7 +29,7 @@ from . import amp as amp_mod
 from . import rmt as rmt_mod
 from . import spectral as spectral_mod
 from . import state_evolution as se_mod
-from .priors import (Activation, SeparablePrior, Wigner, Wishart,
+from .priors import (_BLOCK, Activation, SeparablePrior, Wigner, Wishart,
                      generate_spike, make_model, prefetch_noise, sample_u,
                      sample_wigner, sample_wishart)
 from .serialize import load_any_matrix, save_matrix_csv
@@ -224,13 +224,23 @@ def parse_grid(spec: str) -> list:
 # single runs
 # ---------------------------------------------------------------------------
 
-def _check_fits(n: int, p: int, k: int):
-    """Refuse an instance whose dense W (p x k) and Y (n x p) exceed physical RAM."""
-    need = 8 * (n * p + p * k)
+def _check_fits(model: str, n: int, p: int, k: int):
+    """Refuse an instance whose resident W and Y exceed physical RAM.
+
+    W is p x k.  A Wishart Y is dense, n x p.  A Wigner Y holds its lower
+    triangle only, p (p + 1) / 2 entries, and its sampler row buffers of
+    _BLOCK x p entries in all.  All are float64.
+    """
+    if model == "wigner":
+        need = 8 * (p * (p + 1) // 2 + p * k + _BLOCK * p)
+        what = f"the lower triangle of Y {p} x {p} and {_BLOCK} x {p} of row buffers"
+    else:
+        need = 8 * (n * p + p * k)
+        what = f"Y {n} x {p}"
     ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > ram:
-        raise UsageError(f"p/k/beta: the dense instance needs {need / 2 ** 30:.3g} GiB "
-                         f"(W {p} x {k}, Y {n} x {p}), more than the "
+        raise UsageError(f"p/k/beta: the instance needs {need / 2 ** 30:.3g} GiB "
+                         f"(W {p} x {k}, {what}), more than the "
                          f"{ram / 2 ** 30:.3g} GiB of physical memory")
 
 
@@ -246,9 +256,9 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
     n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
     if n < 1:
         raise UsageError(f"beta: n = round(beta p) must be at least 1 (got {n})")
-    _check_fits(n, p, k)
+    _check_fits(cfg.model, n, p, k)
     # the worker draws the noise while this thread draws W, the spike and u
-    with prefetch_noise((n, p), splitmix64(seed, 3)):
+    with prefetch_noise((n, p), splitmix64(seed, 3), symmetric=cfg.model == "wigner"):
         gm = make_model(p, k, cfg.act(), cfg.latent_prior(), splitmix64(seed, 1))
         z, v = generate_spike(gm, splitmix64(seed, 2))
         if cfg.model == "wigner":
@@ -275,6 +285,9 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
                          "fixed point to linearize around")
     if not cfg.alpha > 0 and {"mi", "rmt"} & set(cfg.methods):
         raise UsageError("alpha: mi and rmt need alpha > 0")
+    if "mi" in cfg.methods and cfg.model != "wigner":
+        raise UsageError("mi: the replica mutual information is implemented for "
+                         "the Wigner model only")
     needs_instance = any(m in cfg.methods for m in ("amp", "lamp", "pca"))
     gm = inst = None
     if needs_instance:
@@ -518,6 +531,12 @@ def _cmd_compare(args):
     cfg.validate()
     if not cfg.delta_grid:
         raise UsageError("delta_grid: required for compare-rmt-se")
+    if (cfg.model, cfg.activation, cfg.latent, cfg.rho_z) != ("wigner", "linear",
+                                                             "gauss", 1.0):
+        raise UsageError("compare-rmt-se: the analytic overlap is that of the "
+                         "Wigner model with a linear activation and a N(0, 1) "
+                         "latent (model=wigner, activation=linear, latent=gauss, "
+                         "rho_z=1)")
     rows = compare_rmt_se(cfg.alpha, cfg.delta_grid, out_path=cfg.out)
     if not cfg.out:
         print(",".join(COMPARE_HEADER))
@@ -592,6 +611,9 @@ def _cmd_cov_lamp(args):
         raise UsageError("spikes/observation: non-finite entries")
     if Y.shape[0] != Y.shape[1]:
         raise UsageError("observation: covariance-LAMP expects a square (Wigner) Y")
+    if not np.array_equal(Y, Y.T):
+        raise UsageError("observation: covariance-LAMP reads only the lower "
+                         "triangle of Y, so Y must be exactly symmetric")
     if spikes.shape[1] != Y.shape[0]:
         raise UsageError(f"spikes: row length {spikes.shape[1]} != p = {Y.shape[0]}")
     sigma = spectral_mod.empirical_covariance(spikes)

@@ -11,18 +11,25 @@ rank-one deformations of Gaussian noise:
 All randomness flows through numpy's counter-based Philox generator so that
 every artifact is reproducible from (seed, shape) alone.
 
-The noise samplers build Y in one dense buffer, 8 n p bytes (n = p for
-Wigner): a worker thread draws the normals row block by row block, and the
-calling thread symmetrises, scales and adds the spike to each block while
-the later blocks are drawn.  Y is bit-identical to the dense expressions
-above evaluated on one `standard_normal` draw of the whole matrix.
-`prefetch_noise` starts that draw early, so that W and the spike are drawn
-while the worker fills Y.
+The Wishart sampler builds Y in one dense buffer of 8 n p bytes: a worker
+thread draws the normals row block by row block, and the calling thread
+scales and adds the spike to each block while the later blocks are drawn.
+The Wigner sampler stores only Y's lower triangle (row >= column), in an
+anonymous mapping whose strict upper triangle is never written and so never
+becomes resident: about 4 p (p + 1) bytes, plus two reused row buffers of
+8 _BLOCK p bytes in all for the draw.  Every Wigner consumer reads that triangle
+alone (AMP through `dsymv`, PCA and LAMP through the lower-panel product of
+`spectral`), so a dense symmetric Y built by hand works as well.  Both Ys
+are bit-identical to the dense expressions above evaluated on one
+`standard_normal` draw of the whole matrix (the Wigner one as its lower
+triangle).  `prefetch_noise` starts that draw early, so that W and the
+spike are drawn while the worker fills Y.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -253,6 +260,14 @@ def generate_spike(gm: GenerativeModel, seed: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class SpikedInstance:
+    """One observation Y with its planted spike.
+
+    A Wigner Y is read through its lower triangle (row >= column) alone:
+    `sample_wigner` stores exactly that triangle, with zeros above the
+    diagonal, and a dense symmetric Y built by hand gives the same results.
+    A Wishart Y is the dense n x p matrix.
+    """
+
     model: Wigner | Wishart
     Y: np.ndarray
     delta: float
@@ -271,36 +286,118 @@ class SpikedInstance:
         return self.Y.shape[0] / self.Y.shape[1]
 
 
-# rows of Y per draw task; one Wigner block pair (I, J) is _BLOCK x _BLOCK
+# rows of Y per block; one Wigner tile (I, J) is _BLOCK x _BLOCK
 _BLOCK = 512
 
 
-class _NoiseDraw:
-    """Philox normals of `seed` drawn into one dense buffer by a worker thread.
+# Linux's MADV_POPULATE_WRITE (kernel 5.14 and later); Python's mmap does not name it
+_MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE", 23)
 
-    Y is allocated once, and the row blocks of _BLOCK rows are submitted in
-    order as soon as the draw is made; numpy releases the GIL while it fills,
-    so the calling thread is free until `complete` needs a block.  Block draws
-    from one Generator give the same stream as a single
-    `standard_normal(shape)` call.
+
+def _lower_triangle_buffer(p: int) -> tuple[np.ndarray, mmap.mmap]:
+    """Zero p x p float64 array on an anonymous mapping of its own, and the mapping.
+
+    The mapping has no huge pages, so a page of it becomes resident only
+    when written, and an array of which only the lower triangle is written
+    holds about half its bytes.  numpy's allocator asks for 2 MiB huge pages
+    for large arrays; each of those would hold the start of some row and
+    fault in the whole matrix.
+    """
+    mapping = mmap.mmap(-1, max(8 * p * p, 1), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mapping, dtype=float, count=p * p).reshape(p, p), mapping
+
+
+def _prefault_lower(mapping: mmap.mmap, p: int):
+    """Fault in the pages that hold the lower triangle of the array on `mapping`.
+
+    A write fault costs microseconds per 4 KiB page, about 10^5 of them at
+    p = 10^4; one madvise per row takes a row's pages in one call, leaves
+    their contents as they are, and so may run while the worker writes
+    them.  A kernel without the flag refuses it, and the pages then fault on
+    their first write.
+    """
+    page = mmap.PAGESIZE
+    try:
+        for r in range(p):
+            start = 8 * r * p // page * page
+            mapping.madvise(_MADV_POPULATE_WRITE, start, 8 * (r * p + r + 1) - start)
+    except OSError:
+        pass
+
+
+class _NoiseDraw:
+    """Philox normals of `seed` drawn into Y by worker threads.
+
+    The row blocks of _BLOCK rows are submitted in order as soon as the draw
+    is made; numpy releases the GIL while it fills, so the calling thread is
+    free until `complete` needs a block.  Draws of consecutive rows from one
+    Generator give the same stream as a single `standard_normal(shape)` call.
+
+    Dense (Wishart): one worker draws each block straight into its rows of Y.
+    Symmetric (Wigner): Y holds only the lower triangle of a + a^T.  One
+    worker draws the half-blocks of a (_BLOCK / 2 rows) into two row buffers
+    in turn, 8 _BLOCK p bytes in all, and a second one adds each half-block
+    into Y: its part right of its diagonal tile goes, transposed, to the
+    later rows' entries of its columns; its part left of the tile is added to
+    the entries of its rows that earlier half-blocks put there, so they hold
+    a[c, r] + a[r, c]; and the lower part of the tile's own a + a^T is
+    written.  A buffer is drawn into again only once it has been added, so
+    the draw, the one serial part, runs alone on its thread.  Nothing above
+    the diagonal is written; the calling thread faults in the triangle's
+    pages meanwhile, which would otherwise cost the workers half a second at
+    p = 10^4.
     """
 
-    def __init__(self, shape: tuple[int, int], seed: int):
-        self.key = (shape, seed)
-        self.Y = np.empty(shape)
+    def __init__(self, shape: tuple[int, int], seed: int, symmetric: bool = False):
+        self.key = (shape, seed, symmetric)
         rng = make_rng(seed)
         self.blocks = [slice(r, min(r + _BLOCK, shape[0]))
                        for r in range(0, shape[0], _BLOCK)]
-        self._pool = ThreadPoolExecutor(1)
-        self._draws = [self._pool.submit(rng.standard_normal, out=self.Y[rows])
-                       for rows in self.blocks]
+        self._pools = [ThreadPoolExecutor(1)]
+        if not symmetric:
+            self.Y = np.empty(shape)
+            self._draws = [self._pools[0].submit(rng.standard_normal, out=self.Y[rows])
+                           for rows in self.blocks]
+            return
+        p, half = shape[0], _BLOCK // 2
+        self.Y, mapping = _lower_triangle_buffer(p)
+        self._buffers = [np.empty((min(half, p), p)) for _ in range(2)]
+        self._pools.append(ThreadPoolExecutor(1))
+        halves = [slice(r, min(r + half, p)) for r in range(0, p, half)]
+        added = []
+        for h, rows in enumerate(halves):
+            drawn = self._pools[0].submit(self._draw_half, rng, h, rows,
+                                          added[h - 2] if h >= 2 else None)
+            added.append(self._pools[1].submit(self._add_lower, h, rows, drawn))
+        # the halves are added in order: a block is done with its last half
+        self._draws = [added[min(2 * j + 1, len(halves) - 1)]
+                       for j in range(len(self.blocks))]
+        _prefault_lower(mapping, p)   # here, while the workers draw
+
+    def _draw_half(self, rng: np.random.Generator, h: int, rows: slice, freed):
+        if freed is not None:     # the half-block that last used this buffer
+            freed.result()
+        rng.standard_normal(out=self._buffers[h % 2][:rows.stop - rows.start])
+
+    def _add_lower(self, h: int, rows: slice, drawn):
+        drawn.result()
+        Y, r0, r1 = self.Y, rows.start, rows.stop
+        a = self._buffers[h % 2][:r1 - r0]
+        Y[r1:, rows] = a[:, r1:].T
+        Y[rows, :r0] += a[:, :r0]
+        tile, diagonal, lower = a[:, rows], Y[rows, rows], np.tri(r1 - r0, dtype=bool)
+        np.copyto(diagonal, tile, where=lower)
+        np.add(diagonal, tile.T, out=diagonal, where=lower)
 
     def complete(self, finish) -> np.ndarray:
         """Run `finish(Y, rows)` on each block once its draw is done; returns Y.
 
-        `finish` may touch only rows up to `rows.stop`, so it overlaps the
-        draw of the blocks after it.  An exception from a draw reaches the
-        caller through its future.
+        `finish` may touch only rows up to `rows.stop`, and (symmetric) only
+        their entries left of `rows.stop`, so it overlaps the draw of the
+        blocks after it.  An exception from a draw reaches the caller
+        through its future.
         """
         try:
             for rows, draw in zip(self.blocks, self._draws):
@@ -311,24 +408,32 @@ class _NoiseDraw:
         return self.Y
 
     def close(self):
-        """Cancel the draws not yet started and join the worker."""
-        self._pool.shutdown(cancel_futures=True)
+        """Cancel the tasks not yet started, join the workers, free the buffers.
+
+        Every pool is cancelled before any is joined: a running task that
+        waits on a cancelled one then raises instead of blocking the join.
+        """
+        for pool in self._pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for pool in self._pools:
+            pool.shutdown()
+        self._buffers = None
 
 
 _prefetched: ContextVar[_NoiseDraw | None] = ContextVar("prefetched_noise", default=None)
 
 
 @contextmanager
-def prefetch_noise(shape: tuple[int, int], seed: int):
+def prefetch_noise(shape: tuple[int, int], seed: int, symmetric: bool = False):
     """Start drawing the noise of `seed` for an n x p Y now, in the background.
 
-    The first `sample_wigner` or `sample_wishart` call inside the block whose
-    Y has this shape and noise seed finishes this draw instead of starting
-    its own, so the caller can draw W and the spike in the meantime; Y is the
-    same bit for bit.  Leaving the block cancels an unused draw and joins the
-    worker, also when the block raises.
+    The first `sample_wigner` (`symmetric`) or `sample_wishart` (not) call
+    inside the block whose Y has this shape and noise seed finishes this
+    draw instead of starting its own, so the caller can draw W and the spike
+    in the meantime; Y is the same bit for bit.  Leaving the block cancels an
+    unused draw and joins the worker, also when the block raises.
     """
-    draw = _NoiseDraw(tuple(shape), seed)
+    draw = _NoiseDraw(tuple(shape), seed, symmetric)
     token = _prefetched.set(draw)
     try:
         yield
@@ -337,13 +442,15 @@ def prefetch_noise(shape: tuple[int, int], seed: int):
         draw.close()
 
 
-def _draw_rows(shape: tuple[int, int], seed: int, finish) -> np.ndarray:
-    """Dense Y of `shape` holding the Philox normals of `seed`, finished in
-    place by `finish(Y, rows)` block by block (see `_NoiseDraw.complete`); a
-    matching prefetched draw is used once."""
+def _draw_rows(shape: tuple[int, int], seed: int, finish,
+               symmetric: bool = False) -> np.ndarray:
+    """Y of `shape` holding the Philox normals of `seed` (the lower triangle
+    of a + a^T if `symmetric`), finished in place by `finish(Y, rows)` block
+    by block (see `_NoiseDraw.complete`); a matching prefetched draw is used
+    once."""
     draw = _prefetched.get()
-    if draw is None or draw.key != (shape, seed):
-        draw = _NoiseDraw(shape, seed)
+    if draw is None or draw.key != (shape, seed, symmetric):
+        draw = _NoiseDraw(shape, seed, symmetric)
     else:
         _prefetched.set(None)
     return draw.complete(finish)
@@ -351,19 +458,21 @@ def _draw_rows(shape: tuple[int, int], seed: int, finish) -> np.ndarray:
 
 def sample_wigner(v_star: np.ndarray, delta: float, seed: int,
                   z_star: np.ndarray | None = None) -> SpikedInstance:
-    """Y = v v^T / sqrt(p) + sqrt(delta) * xi with GOE noise.
+    """Y = v v^T / sqrt(p) + sqrt(delta) * xi with GOE noise, stored as its
+    lower triangle.
 
     GOE convention: E[xi_ij^2] = 1 + delta_ij, i.e. off-diagonal variance 1
     and diagonal variance 2, so the noise bulk is the semicircle of radius
     2 sqrt(delta) after the 1/sqrt(p) scaling.
 
-    xi = (a + a^T) / sqrt(2) for a = standard_normal((p, p)) of `seed`, built
-    in the one dense buffer that becomes Y: once row block J of a is drawn,
-    every block (I, J), I <= J, is finished from a[I, J] and a[J, I] and its
-    transpose written to (J, I), with the draw of the later rows overlapped.
-    Each element sees the operations of the dense expression
+    xi = (a + a^T) / sqrt(2) for a = standard_normal((p, p)) of `seed`.  Y is
+    exactly np.tril of the dense expression
     ((a + a^T) / sqrt(2)) * sqrt(delta) + outer(v, v) / sqrt(p), v as
-    float64, in that order, so Y equals it bit for bit, and Y == Y^T exactly.
+    float64, bit for bit: the workers leave a[c, r] + a[r, c] in each entry
+    on and below the diagonal (see `_NoiseDraw`), and this thread divides,
+    scales and adds the spike tile by tile as the row blocks finish, in the
+    dense expression's order.  The strict upper triangle stays zero and is
+    never written, so only about 4 p (p + 1) bytes of Y are resident.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -371,19 +480,24 @@ def sample_wigner(v_star: np.ndarray, delta: float, seed: int,
     p = len(v)
     scale, sqrt_p = math.sqrt(delta), math.sqrt(p)
 
-    def finish(Y, rows):
-        for start in range(0, rows.start + 1, _BLOCK):
-            cols = slice(start, min(start + _BLOCK, rows.stop))
-            block = Y[cols, rows] + Y[rows, cols].T
-            block /= math.sqrt(2.0)
-            block *= scale
-            spike = np.outer(v[cols], v[rows])
-            spike /= sqrt_p
-            block += spike
-            Y[cols, rows] = block
-            Y[rows, cols] = block.T
+    # one tile of spike and the mask of a diagonal tile, reused by every tile
+    side = min(_BLOCK, p)
+    spike, tri = np.empty((side, side)), np.tri(side, dtype=bool)
 
-    Y = _draw_rows((p, p), seed, finish)
+    def finish(Y, rows):
+        for start in range(0, rows.stop, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, rows.stop))
+            block = Y[rows, cols]
+            m, n = block.shape
+            # the last tile is the diagonal one: only its lower part is Y's
+            lower = tri[:m, :n] if cols == rows else True
+            s = np.multiply.outer(v[rows], v[cols], out=spike[:m, :n])
+            s /= sqrt_p
+            np.divide(block, math.sqrt(2.0), out=block, where=lower)
+            np.multiply(block, scale, out=block, where=lower)
+            np.add(block, s, out=block, where=lower)
+
+    Y = _draw_rows((p, p), seed, finish, symmetric=True)
     return SpikedInstance(model=Wigner(), Y=Y, delta=delta, v_star=v, z_star=z_star)
 
 

@@ -13,9 +13,11 @@ term is proportional to the third moment of P_z, which vanishes for both
 shipped (symmetric) priors, and a >= b >= 0 holds by Cauchy-Schwarz, so the
 preconditioner is PSD: K = F F^T.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
-whose eigenvectors map back through F.  One Lanczos solver, `_lanczos_top2`,
-finds the top two eigenpairs for LAMP, covariance-LAMP and PCA: it never
-restarts, keeps its whole basis orthonormal, and stops by ARPACK's rule.
+whose eigenvectors map back through F.  A Wigner Y is read through its
+lower triangle alone (`_lower_product`), the part `priors.sample_wigner`
+stores.  One Lanczos solver, `_lanczos_top2`, finds the top two eigenpairs
+for LAMP, covariance-LAMP and PCA: it never restarts, keeps its whole basis
+orthonormal, and stops by ARPACK's rule.
 Inputs without that structure are rejected at construction: `LampCoeffs`
 unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
 """
@@ -107,15 +109,50 @@ class LampOperator:
                                math.sqrt(b / self.k) * (self.W.T @ x)])
 
 
+# rows per panel of `_lower_product`: on 2 cores at p = 4000, panels of 1024
+# rows made the LAMP matvec as fast as one dense gemv of the full Y, and
+# panels of 512 rows made it 6% slower
+_PANEL = 1024
+
+
+def _lower_product(Y: np.ndarray):
+    """x -> Y x for a symmetric Y, reading only its lower triangle L = tril(Y).
+
+    y = L x + L^T x - diag(Y) x, by row panels of `_PANEL` rows: the part of
+    a panel left of its diagonal tile is read twice per product, for its
+    rows of L x and its columns of L^T x, and each diagonal tile is made
+    symmetric from its lower triangle once, when the product is built
+    (8 _PANEL p bytes in all).  x may be a vector or a p x m matrix.  The
+    products are numpy's, like every other product of the Lanczos loop, so
+    the loop stays on one BLAS library.
+    """
+    p = Y.shape[0]
+    panels = []
+    for start in range(0, p, _PANEL):
+        rows = slice(start, min(start + _PANEL, p))
+        lower = np.tril(Y[rows, rows])
+        panels.append((rows, Y[rows, :start], lower + np.tril(lower, -1).T))
+
+    def product(x):
+        y = np.empty(np.shape(x))
+        for rows, left, tile in panels:
+            y[rows] = left @ x[:rows.start] + tile @ x[rows]
+            y[:rows.start] += left.T @ x[rows]
+        return y
+
+    return product
+
+
 def gram(inst: SpikedInstance):
     """The data operator x -> Y x / sqrt(p) (Wigner) or Y^T (Y x) / p (Wishart).
 
-    PCA takes its leading eigenpairs; `build_lamp` scales and shifts it.
+    PCA takes its leading eigenpairs; `build_lamp` scales and shifts it.  The
+    Wigner operator reads only Y's lower triangle (`_lower_product`).
     """
     Y, p = inst.Y, inst.p
     if isinstance(inst.model, Wigner):
-        sp = math.sqrt(p)
-        return lambda x: Y @ x / sp
+        sp, product = math.sqrt(p), _lower_product(Y)
+        return lambda x: product(x) / sp
     return lambda x: Y.T @ (Y @ x) / p
 
 
@@ -145,7 +182,11 @@ def empirical_covariance(spikes: np.ndarray) -> np.ndarray:
 
 
 def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOperator:
-    """Gamma = (1/Delta) Sigma_hat (Y/sqrt(p) - I), Sigma_hat estimated from spikes."""
+    """Gamma = (1/Delta) Sigma_hat (Y/sqrt(p) - I), Sigma_hat estimated from spikes.
+
+    Y is a Wigner observation, read through its lower triangle alone, as by
+    `gram`.
+    """
     p = Y.shape[0]
     if sigma_hat.shape != (p, p):
         raise ValueError("covariance/observation dimension mismatch")
@@ -154,10 +195,10 @@ def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOp
     vals, vecs = np.linalg.eigh(sigma_hat)
     if vals.min() < -1e-10 * max(1.0, vals.max()):
         raise ValueError("Sigma_hat must be positive semidefinite")
-    sp = math.sqrt(p)
+    sp, product = math.sqrt(p), _lower_product(Y)
 
     def data_apply(x):
-        return Y @ x / sp - x
+        return product(x) / sp - x
 
     return LampOperator(p=p, k=p, delta=delta, coeffs=LampCoeffs(a=1.0, b=1.0),
                         W=None, data_apply=data_apply, sigma=sigma_hat,

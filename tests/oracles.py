@@ -11,6 +11,13 @@ from spikedgen.priors import Wigner, gauss_legendre, null_channel_moments
 DENSE_CUTOFF = 4000
 
 
+def full_symmetric(Y: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix whose lower triangle is Y's, as a Wigner
+    consumer reads it (`sample_wigner` stores only that triangle)."""
+    lower = np.tril(Y)
+    return lower + np.tril(lower, -1).T
+
+
 def lamp_dense(op) -> np.ndarray:
     """The LAMP operator Gamma of a `spectral.LampOperator` as a dense p x p matrix."""
     if op.p > DENSE_CUTOFF:

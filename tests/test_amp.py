@@ -10,6 +10,7 @@ from spikedgen import amp, state_evolution as se
 from spikedgen.priors import (LINEAR, SIGN, Wigner, gauss_prior,
                               generate_spike, make_model, make_rng, sample_u,
                               sample_wigner, sample_wishart)
+from oracles import full_symmetric
 
 GAUSS1 = gauss_prior(1.0)
 
@@ -183,7 +184,7 @@ def test_permutation_equivariance():
     gm_p = make_model(gm.p, gm.k, gm.act, gm.latent, seed=1)  # placeholder
     object.__setattr__(gm_p, "W", gm.W[perm])
     inst_p = sample_wigner(inst.v_star[perm], inst.delta, seed=0, z_star=inst.z_star)
-    object.__setattr__(inst_p, "Y", inst.Y[np.ix_(perm, perm)])
+    object.__setattr__(inst_p, "Y", full_symmetric(inst.Y)[np.ix_(perm, perm)])
     res_p = amp.amp_wigner_run(inst_p, gm_p, amp.AmpConfig(max_iter=10), seed=19)
     # note: the AMP init draws v_hat per index, so permute the init too by
     # comparing overlap traces instead of raw vectors
@@ -258,7 +259,7 @@ def test_divergence_detection(model):
 def _numpy_products(monkeypatch):
     """Route amp_step's products through numpy's `@`, the path before dsymv."""
     monkeypatch.setattr(amp, "_gemv", lambda A, x, trans=False: (A.T if trans else A) @ x)
-    monkeypatch.setattr(amp, "_symv", lambda Y, x: Y @ x)
+    monkeypatch.setattr(amp, "_symv", lambda Y, x: full_symmetric(Y) @ x)
 
 
 def test_blas_products_match_numpy():
@@ -266,7 +267,7 @@ def test_blas_products_match_numpy():
     rng = make_rng(3)
     x_p, x_k, x_n = (rng.standard_normal(m) for m in (gm.p, gm.k, 90))
     Y = rng.standard_normal((90, gm.p))
-    pairs = [(amp._symv(inst.Y, x_p), inst.Y @ x_p),
+    pairs = [(amp._symv(inst.Y, x_p), full_symmetric(inst.Y) @ x_p),
              (amp._gemv(gm.W, x_k), gm.W @ x_k),
              (amp._gemv(gm.W, x_p, trans=True), gm.W.T @ x_p),
              (amp._gemv(Y, x_p), Y @ x_p),
@@ -316,3 +317,22 @@ def test_run_takes_any_memory_order():
                                replace(gm, W=np.asfortranarray(gm.W)), cfg, seed=3)
     assert res_f.overlap_trace == res.overlap_trace
     assert np.array_equal(res_f.v_hat, res.v_hat)
+
+
+def test_wigner_run_reads_only_the_lower_triangle():
+    # the sampled Y is np.tril of the dense matrix; the dense symmetric Y
+    # gives the same run bit for bit, and so does any upper triangle
+    gm, inst = _wigner_setup(150, 1.2, act=SIGN)
+    full = full_symmetric(inst.Y)
+    noisy_upper = np.tril(inst.Y) + np.triu(make_rng(4).standard_normal(inst.Y.shape), 1)
+    cfg = amp.AmpConfig(max_iter=25, tol=1e-300)
+    runs = [amp.amp_wigner_run(replace(inst, Y=Y), gm, cfg, seed=7)
+            for Y in (inst.Y, full, noisy_upper)]
+    assert np.array_equal(inst.Y, np.tril(full))
+    for res in runs[1:]:
+        assert np.array_equal(res.v_hat, runs[0].v_hat)
+        assert np.array_equal(res.z_hat, runs[0].z_hat)
+        assert res.overlap_trace == runs[0].overlap_trace
+        assert res.self_overlap_trace == runs[0].self_overlap_trace
+        assert res.q_z_trace == runs[0].q_z_trace
+        assert res.mse_trace == runs[0].mse_trace

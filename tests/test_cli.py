@@ -11,6 +11,7 @@ import pytest
 from spikedgen import cli, priors, serialize as ser, spectral
 from spikedgen.priors import (LINEAR, gauss_prior, generate_spike, make_model, make_rng,
                               sample_u, sample_wigner, sample_wishart)
+from oracles import full_symmetric
 
 
 def run_main(args):
@@ -222,7 +223,7 @@ def _run_cov_lamp(tmp_path):
     v = spikes[0] * math.sqrt(p) / np.linalg.norm(spikes[0])
     inst = sample_wigner(v, delta, seed=23)
     ser.save_matrix_csv(tmp_path / "spikes.csv", spikes)
-    ser.save_matrix(tmp_path / "obs.bin", inst.Y)
+    ser.save_matrix(tmp_path / "obs.bin", full_symmetric(inst.Y))
     out = tmp_path / "est.csv"
     code = run_main(["cov-lamp", "--spikes", str(tmp_path / "spikes.csv"),
                      "--observation", str(tmp_path / "obs.bin"),
@@ -295,6 +296,25 @@ BAD_INPUT = {
         t, observation=b"SPKD" + _HEADER.pack(1, 6, 6) + bytes(8 * 30)),
     "cov_lamp_negative_delta": lambda t: _cov_lamp_args(t, delta="-1"),
     "cov_lamp_zero_delta": lambda t: _cov_lamp_args(t, delta="0"),
+    # every Wigner product reads only the lower triangle, so an observation
+    # that is not exactly symmetric would be symmetrised in silence
+    "cov_lamp_lower_triangle_only": lambda t: _cov_lamp_args(
+        t, observation=_matrix_bytes(t, np.tril(np.ones((6, 6))))),
+    "cov_lamp_asymmetric_by_one_ulp": lambda t: _cov_lamp_args(
+        t, observation=_matrix_bytes(t, np.full((6, 6), 0.5)
+                                     + np.spacing(0.5) * np.eye(6, k=1))),
+    # fields a subcommand would ignore: mi computes the Wigner i_RS only, and
+    # compare-rmt-se the linear, N(0, 1)-latent Wigner overlap only
+    "mi_wishart": lambda t: ["mi", "--model", "wishart", "--beta", "3", "--alpha", "2",
+                             "--delta", "1.5"],
+    "compare_sign_activation": lambda t: ["compare-rmt-se", "--activation", "sign",
+                                          "--alpha", "2", "--delta-grid", "1"],
+    "compare_rademacher_latent": lambda t: ["compare-rmt-se", "--latent", "rademacher",
+                                            "--alpha", "2", "--delta-grid", "1"],
+    "compare_rho_z_not_one": lambda t: ["compare-rmt-se", "--rho-z", "2", "--alpha", "2",
+                                        "--delta-grid", "1"],
+    "compare_wishart_model": lambda t: ["compare-rmt-se", "--model", "wishart",
+                                        "--alpha", "2", "--delta-grid", "1"],
     # a 1 x 1 observation has no second eigenpair
     "cov_lamp_dimension_one": lambda t: _cov_lamp_args(
         t, spikes=np.ones((5, 1)), observation=_matrix_bytes(t, np.eye(1))),
@@ -344,6 +364,33 @@ BAD_INPUT = {
                                               "--density-points", "-3",
                                               "--density-out", str(t / "f.csv")],
 }
+
+
+def test_compare_rmt_se_accepts_its_own_fields(capsys):
+    # the refusals leave the one configuration compare-rmt-se computes
+    argv = ["compare-rmt-se", "--alpha", "2", "--delta-grid", "1"]
+    assert run_main(argv) == 0
+    default = capsys.readouterr().out
+    assert run_main(argv + ["--model", "wigner", "--activation", "linear",
+                            "--latent", "gauss", "--rho-z", "1"]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("model, n", [("wigner", 3000), ("wishart", 4500)])
+def test_check_fits_models_resident_bytes(monkeypatch, model, n):
+    # at the boundary, with the physical memory faked: nothing is allocated.
+    # Wigner: the lower triangle of Y, W and the sampler's row buffers
+    p, k = 3000, 1500
+    need = (8 * (p * (p + 1) // 2 + p * k + priors._BLOCK * p) if model == "wigner"
+            else 8 * (n * p + p * k))
+    for ram in (need, need - 8):
+        pages = {"SC_PHYS_PAGES": ram // 8, "SC_PAGE_SIZE": 8}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        if ram == need:
+            cli._check_fits(model, n, p, k)
+        else:
+            with pytest.raises(cli.UsageError, match="physical memory"):
+                cli._check_fits(model, n, p, k)
 
 
 @pytest.mark.parametrize("argv", [["rmt", "--alpha", "1e308", "--delta", "1"],

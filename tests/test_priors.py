@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,7 +87,8 @@ def test_wigner_symmetry_and_determinism(gauss1):
     inst1 = pr.sample_wigner(v, 0.5, seed=12, z_star=z)
     inst2 = pr.sample_wigner(v, 0.5, seed=12, z_star=z)
     assert np.array_equal(inst1.Y, inst2.Y)
-    assert np.array_equal(inst1.Y, inst1.Y.T)   # bit-exact symmetry
+    # stored as its lower triangle: nothing above the diagonal
+    assert np.array_equal(inst1.Y, np.tril(inst1.Y))
 
 
 def test_wigner_noiseless_limit(gauss1):
@@ -94,7 +96,7 @@ def test_wigner_noiseless_limit(gauss1):
     _, v = pr.generate_spike(gm, seed=14)
     inst = pr.sample_wigner(v, 1e-30, seed=15)
     outer = np.outer(v, v) / math.sqrt(100)
-    assert np.max(np.abs(inst.Y - outer)) < 1e-12
+    assert np.max(np.abs(inst.Y - np.tril(outer))) < 1e-12
 
 
 def test_wigner_delta_validation(gauss1):
@@ -108,7 +110,7 @@ def test_goe_noise_statistics():
     # off-diagonal variance Delta, diagonal 2 Delta
     p, delta = 1200, 0.7
     inst = pr.sample_wigner(np.zeros(p), delta, seed=16)
-    off = inst.Y[np.triu_indices(p, k=1)]
+    off = inst.Y[np.tril_indices(p, k=-1)]
     assert abs(off.var() - delta) < 0.01
     assert abs(inst.Y.diagonal().var() - 2 * delta) < 0.15
 
@@ -190,31 +192,51 @@ def test_samplers_match_dense_reference(delta):
     for p in (1, 511, 512, 513, 1100):
         v = pr.make_rng(p).standard_normal(p)
         Y = pr.sample_wigner(v, delta, seed=p + 1).Y
-        assert np.array_equal(Y, _dense_wigner(v, delta, p + 1))
-        assert np.array_equal(Y, Y.T)
+        assert np.array_equal(Y, np.tril(_dense_wigner(v, delta, p + 1)))
     for n, p in ((300, 700), (1100, 513)):
         u, v = pr.make_rng(n).standard_normal(n), pr.make_rng(p).standard_normal(p)
         Y = pr.sample_wishart(u, v, delta, seed=n + p).Y
         assert np.array_equal(Y, _dense_wishart(u, v, delta, n + p))
 
 
+def _run_python(code: str, *args: str) -> str:
+    """stdout of `code` run with `args` in a fresh interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(pr.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout
+
+
+SAMPLER_PEAK = """
+import sys
+from spikedgen import priors as pr
+
+def peak_rss():   # VmHWM, in bytes; it counts mmap buffers too
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmHWM:"))
+
+w = pr.make_rng(1).standard_normal(3000)
+u, v = pr.make_rng(3).standard_normal(3000), pr.make_rng(4).standard_normal(2000)
+before = peak_rss()
+if sys.argv[1] == "wigner":
+    pr.sample_wigner(w, 0.5, seed=2)
+else:
+    pr.sample_wishart(u, v, 0.5, seed=5)
+print(peak_rss() - before)
+"""
+
+
 def test_sampler_peak_is_one_buffer():
-    # tracemalloc sees numpy's data buffers; Y itself is 8 n p bytes
-    p = 3000
-    v = pr.make_rng(1).standard_normal(p)
-    tracemalloc.start()
-    try:
-        pr.sample_wigner(v, 0.5, seed=2)
-        wigner_peak = tracemalloc.get_traced_memory()[1]
-        n, p = 3000, 2000
-        u, v = pr.make_rng(3).standard_normal(n), pr.make_rng(4).standard_normal(p)
-        tracemalloc.reset_peak()
-        pr.sample_wishart(u, v, 0.5, seed=5)
-        wishart_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert wigner_peak < 1.25 * 8 * 3000 ** 2
-    assert wishart_peak < 1.25 * 8 * n * p
+    # Wigner (p = 3000): the lower triangle of Y, 4 p (p + 1) bytes, and the
+    # draw's row buffers; Wishart (n x p = 3000 x 2000): the dense Y, 8 n p
+    # bytes, with a quarter to spare
+    wigner = int(_run_python(SAMPLER_PEAK, "wigner"))
+    wishart = int(_run_python(SAMPLER_PEAK, "wishart"))
+    assert wigner <= 4 * 3000 * 3001 + 8 * pr._BLOCK * 3000 + 16 * 2 ** 20
+    assert wishart < 1.25 * 8 * 3000 * 2000
 
 
 def test_sampler_draw_error_reaches_caller(monkeypatch):
@@ -227,6 +249,24 @@ def test_sampler_draw_error_reaches_caller(monkeypatch):
         pr.sample_wigner(np.ones(1100), 0.5, seed=0)
     with pytest.raises(FloatingPointError, match="draw failed"):
         pr.sample_wishart(np.ones(1100), np.ones(30), 0.5, seed=0)
+
+
+def test_concurrent_wigner_samplers_under_fast_thread_switching():
+    # each sampler's worker and caller write disjoint parts of its own Y; four
+    # samplers at once, switching threads every microsecond
+    cases = [(1100 - 37 * i, 0.3 + i, 40 + i) for i in range(4)]
+    spikes = [pr.make_rng(seed).standard_normal(p) for p, _, seed in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cases)) as pool:
+            futures = [pool.submit(pr.sample_wigner, v, delta, seed + 1)
+                       for v, (_, delta, seed) in zip(spikes, cases)]
+            got = [f.result(timeout=120).Y for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for Y, v, (_, delta, seed) in zip(got, spikes, cases):
+        assert np.array_equal(Y, np.tril(_dense_wigner(v, delta, seed + 1)))
 
 
 def test_prefetched_noise_serves_only_its_seed():
@@ -296,10 +336,5 @@ def test_gauss_legendre_rss_growth_in_fresh_interpreter():
         "    gauss_legendre(order)\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    src = os.path.dirname(os.path.dirname(pr.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    growth_kib = int(out.stdout.split()[-1])      # Linux reports ru_maxrss in KiB
+    growth_kib = int(_run_python(code).split()[-1])   # Linux reports ru_maxrss in KiB
     assert growth_kib < 8 * 1024

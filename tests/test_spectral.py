@@ -7,7 +7,7 @@ from spikedgen import rmt, spectral as sp, state_evolution as se
 from spikedgen.priors import (LINEAR, RELU, SIGN, Wigner, Wishart,
                               gauss_prior, generate_spike, make_model,
                               make_rng, sample_u, sample_wigner, sample_wishart)
-from oracles import lamp_dense
+from oracles import full_symmetric, lamp_dense
 from rmt_bounds import noise_seeds, overlap_bound
 
 GAUSS1 = gauss_prior(1.0)
@@ -60,6 +60,21 @@ def test_applicator_matches_dense(odd_act):
     for _ in range(5):
         x = rng.standard_normal(gm.p)
         assert np.allclose(op.apply(x), dense @ x, atol=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
+def test_lower_product_reads_only_the_lower_triangle(p):
+    # below, at and across the panel height; a vector and a matrix of columns
+    rng = make_rng(p)
+    full = _sym(p, p)
+    garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
+    x, xs = rng.standard_normal(p), rng.standard_normal((p, 3))
+    for Y in (np.tril(full), full, garbage):
+        product = sp._lower_product(Y)
+        for arg in (x, xs):
+            want = full @ arg
+            assert np.max(np.abs(product(arg) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(full_symmetric(garbage), full)
 
 
 def test_pure_covariance_preconditioner():
