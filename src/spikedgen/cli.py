@@ -29,9 +29,9 @@ from . import amp as amp_mod
 from . import rmt as rmt_mod
 from . import spectral as spectral_mod
 from . import state_evolution as se_mod
-from .priors import (_BLOCK, Activation, SeparablePrior, Wigner, Wishart,
-                     generate_spike, make_model, prefetch_noise, sample_u,
-                     sample_wigner, sample_wishart)
+from .priors import (Activation, SeparablePrior, Wigner, Wishart, generate_spike,
+                     make_model, observation_bytes, prefetch_noise, sample_u,
+                     sample_wigner, sample_wishart, sampler_scratch_bytes)
 from .serialize import load_any_matrix, save_matrix_csv
 
 SWEEP_HEADER = ["alpha", "delta", "q_v", "q_z", "mmse_v", "converged", "iters", "init"]
@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
             raise UsageError("alpha: must be nonnegative")
+        if not (math.isfinite(self.eig_tol) and self.eig_tol >= 0):
+            raise UsageError("eig_tol: must be finite and nonnegative")
         for keys, build in (("latent/rho_z", self.latent_prior),
                             ("beta/prior_u/rho_u", self.model_kind),
                             ("se_*", self.se_config),
@@ -224,24 +226,37 @@ def parse_grid(spec: str) -> list:
 # single runs
 # ---------------------------------------------------------------------------
 
-def _check_fits(model: str, n: int, p: int, k: int):
-    """Refuse an instance whose resident W and Y exceed physical RAM.
+def _check_fits(cfg: ExperimentConfig, n: int, p: int, k: int) -> int:
+    """Refuse a run whose resident arrays exceed physical RAM; returns their bytes.
 
-    W is p x k.  A Wishart Y is dense, n x p.  A Wigner Y holds its lower
-    triangle only, p (p + 1) / 2 entries, and its sampler row buffers of
-    _BLOCK x p entries in all.  All are float64.
+    The model, from the shapes alone: W, p x k; Y (`priors.observation_bytes`:
+    dense n x p for Wishart, the lower triangle for Wigner); the sampler's
+    scratch; and for each requested spectral method its largest Lanczos
+    basis, with the diagonal tiles of the lower-triangle product on a Wigner
+    Y.  All are float64.
     """
-    if model == "wigner":
-        need = 8 * (p * (p + 1) // 2 + p * k + _BLOCK * p)
-        what = f"the lower triangle of Y {p} x {p} and {_BLOCK} x {p} of row buffers"
-    else:
-        need = 8 * (n * p + p * k)
-        what = f"Y {n} x {p}"
+    wigner = cfg.model == "wigner"
+    parts = {"W": 8 * p * k, "Y": observation_bytes(n, p, wigner),
+             "sampler scratch": sampler_scratch_bytes(p, wigner)}
+    for method in ("lamp", "pca"):
+        if method not in cfg.methods:
+            continue
+        dim = p
+        if method == "lamp":
+            coeffs = spectral_mod.lamp_coefficients(cfg.act(), cfg.latent_prior(),
+                                                    cfg.model_kind())
+            dim = spectral_mod.lamp_factor_dim(coeffs, p, k)
+        parts[f"{method} Lanczos basis"] = spectral_mod.lanczos_basis_bytes(dim)
+        if wigner:
+            parts[f"{method} product tiles"] = spectral_mod.lower_product_bytes(p)
+    need = sum(parts.values())
     ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > ram:
-        raise UsageError(f"p/k/beta: the instance needs {need / 2 ** 30:.3g} GiB "
-                         f"(W {p} x {k}, {what}), more than the "
+        what = ", ".join(f"{name} {size / 2 ** 30:.3g}" for name, size in parts.items())
+        raise UsageError(f"p/k/beta: the run needs {need / 2 ** 30:.3g} GiB "
+                         f"(n = {n}, p = {p}, k = {k}; in GiB: {what}), more than the "
                          f"{ram / 2 ** 30:.3g} GiB of physical memory")
+    return need
 
 
 def _check_eig_dim(method: str, dim: int):
@@ -256,7 +271,7 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
     n = p if cfg.model == "wigner" else int(round(cfg.beta * p))
     if n < 1:
         raise UsageError(f"beta: n = round(beta p) must be at least 1 (got {n})")
-    _check_fits(cfg.model, n, p, k)
+    _check_fits(cfg, n, p, k)
     # the worker draws the noise while this thread draws W, the spike and u
     with prefetch_noise((n, p), splitmix64(seed, 3), symmetric=cfg.model == "wigner"):
         gm = make_model(p, k, cfg.act(), cfg.latent_prior(), splitmix64(seed, 1))
@@ -324,24 +339,31 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             # Wishart run denoises u with the instance's prior, cfg.u_prior()
             run = getattr(amp_mod, f"amp_{cfg.model}_run")
             res = run(inst, gm, cfg=cfg.amp_config(), seed=splitmix64(seed, 5))
+            # Nishimori identity: at the Bayes-optimal fixed point
+            # |v_hat . v*| / p = |v_hat|^2 / p
             m = {"q_v": res.overlap_trace[-1], "mse_v": res.mse_v,
                  "iters": res.iters, "converged": res.converged,
+                 "nishimori_gap": abs(abs(res.overlap_trace[-1])
+                                      - res.self_overlap_trace[-1]),
                  "trace": {"q_v": res.overlap_trace, "q_z": res.q_z_trace,
                            "mse_v": res.mse_trace}}
             if res.overlap_u is not None:
                 m["q_u"] = res.overlap_u
         elif method == "lamp":
             coeffs = spectral_mod.lamp_coefficients(act, latent, cfg.model_kind())
-            op = spectral_mod.build_lamp(inst, gm, coeffs)
-            _check_eig_dim("lamp", op.factor_dim())
-            sr = spectral_mod.leading_eigs(op, truth=inst.v_star, tol=cfg.eig_tol,
+            _check_eig_dim("lamp", spectral_mod.lamp_factor_dim(coeffs, gm.p, gm.k))
+            # no name holds the operator, so a Wigner product's tiles are
+            # freed before a later method builds its own
+            sr = spectral_mod.leading_eigs(spectral_mod.build_lamp(inst, gm, coeffs),
+                                           truth=inst.v_star, tol=cfg.eig_tol,
                                            seed=splitmix64(seed, 6))
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
                  "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
         elif method == "pca":
             _check_eig_dim("pca", inst.p)
-            sr = spectral_mod.pca_estimate(inst, seed=splitmix64(seed, 7))
+            sr = spectral_mod.pca_estimate(inst, seed=splitmix64(seed, 7),
+                                           tol=cfg.eig_tol)
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
                  "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
@@ -602,6 +624,8 @@ def _cmd_rmt(args):
 def _cmd_cov_lamp(args):
     if not (math.isfinite(args.delta) and args.delta > 0):
         raise UsageError("delta: must be positive and finite")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError("tol: must be finite and nonnegative")
     try:
         spikes = load_any_matrix(args.spikes)
         Y = load_any_matrix(args.observation)

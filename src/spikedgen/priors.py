@@ -16,8 +16,9 @@ thread draws the normals row block by row block, and the calling thread
 scales and adds the spike to each block while the later blocks are drawn.
 The Wigner sampler stores only Y's lower triangle (row >= column), in an
 anonymous mapping whose strict upper triangle is never written and so never
-becomes resident: about 4 p (p + 1) bytes, plus two reused row buffers of
-8 _BLOCK p bytes in all for the draw.  Every Wigner consumer reads that triangle
+becomes resident: about 4 p (p + 1) bytes.  Every scratch buffer of either
+sampler has a fixed number of rows, so `sampler_scratch_bytes` bounds what
+they hold beside Y (see there).  Every Wigner consumer reads that triangle
 alone (AMP through `dsymv`, PCA and LAMP through the lower-panel product of
 `spectral`), so a dense symmetric Y built by hand works as well.  Both Ys
 are bit-identical to the dense expressions above evaluated on one
@@ -288,6 +289,43 @@ class SpikedInstance:
 
 # rows of Y per block; one Wigner tile (I, J) is _BLOCK x _BLOCK
 _BLOCK = 512
+# rows of a per Wigner half-block, and the number of _HALF x p buffers the
+# draw cycles through: it may run _BUFFERS - 1 half-blocks ahead of the
+# adding worker.  With two buffers of 128 rows, that lead is too short for
+# the first add, which faults in a page of every row of Y, and the draw
+# waited 40-80 ms per instance at p = 10^4 (2 cores); three keep the lead of
+# 256 rows that two 256-row buffers gave, in 3/4 of their bytes.
+_HALF = 128
+_BUFFERS = 3
+# rows of the spike per Wishart tile: one reused _SPIKE_ROWS x p buffer
+_SPIKE_ROWS = 32
+
+
+def observation_bytes(n: int, p: int, symmetric: bool) -> int:
+    """Resident bytes of a sampled n x p Y (n = p if `symmetric`).
+
+    Wishart: the dense Y, 8 n p.  Wigner: the lower triangle, 4 p (p + 1),
+    and the pages that the rows of the triangle share with the unwritten
+    upper one: a row's part starts and ends inside a page, about one page
+    per row in all.
+    """
+    if symmetric:
+        return 4 * p * (p + 1) + p * mmap.PAGESIZE
+    return 8 * n * p
+
+
+def sampler_scratch_bytes(p: int, symmetric: bool) -> int:
+    """Bytes the sampler of a Y with p columns holds beside Y, W and the spike.
+
+    Wigner (`symmetric`): the _BUFFERS row buffers of _HALF x p of the
+    draw, the _BLOCK x _BLOCK spike tile and its lower-triangle mask.
+    Wishart: the _SPIKE_ROWS x p spike tile.  Each is float64 (the mask
+    bool), and none depends on the number of rows of Y.
+    """
+    if symmetric:
+        side = min(_BLOCK, p)
+        return 8 * _BUFFERS * min(_HALF, p) * p + 9 * side * side
+    return 8 * _SPIKE_ROWS * p
 
 
 # Linux's MADV_POPULATE_WRITE (kernel 5.14 and later); Python's mmap does not name it
@@ -337,17 +375,17 @@ class _NoiseDraw:
 
     Dense (Wishart): one worker draws each block straight into its rows of Y.
     Symmetric (Wigner): Y holds only the lower triangle of a + a^T.  One
-    worker draws the half-blocks of a (_BLOCK / 2 rows) into two row buffers
-    in turn, 8 _BLOCK p bytes in all, and a second one adds each half-block
-    into Y: its part right of its diagonal tile goes, transposed, to the
-    later rows' entries of its columns; its part left of the tile is added to
-    the entries of its rows that earlier half-blocks put there, so they hold
-    a[c, r] + a[r, c]; and the lower part of the tile's own a + a^T is
-    written.  A buffer is drawn into again only once it has been added, so
-    the draw, the one serial part, runs alone on its thread.  Nothing above
-    the diagonal is written; the calling thread faults in the triangle's
-    pages meanwhile, which would otherwise cost the workers half a second at
-    p = 10^4.
+    worker draws the half-blocks of a (_HALF rows) into _BUFFERS row buffers
+    in turn, 8 _BUFFERS _HALF p bytes in all, and a second one adds each
+    half-block into Y: its part right of its diagonal tile goes, transposed,
+    to the later rows' entries of its columns; its part left of the tile is
+    added to the entries of its rows that earlier half-blocks put there, so
+    they hold a[c, r] + a[r, c]; and the lower part of the tile's own
+    a + a^T is written.  A buffer is drawn into again only once it has been
+    added, so the draw, the one serial part, runs alone on its thread.
+    Nothing above the diagonal is written; the calling thread faults in the
+    triangle's pages meanwhile, which would otherwise cost the workers half a
+    second at p = 10^4.
     """
 
     def __init__(self, shape: tuple[int, int], seed: int, symmetric: bool = False):
@@ -361,30 +399,30 @@ class _NoiseDraw:
             self._draws = [self._pools[0].submit(rng.standard_normal, out=self.Y[rows])
                            for rows in self.blocks]
             return
-        p, half = shape[0], _BLOCK // 2
+        p = shape[0]
         self.Y, mapping = _lower_triangle_buffer(p)
-        self._buffers = [np.empty((min(half, p), p)) for _ in range(2)]
+        self._buffers = [np.empty((min(_HALF, p), p)) for _ in range(_BUFFERS)]
         self._pools.append(ThreadPoolExecutor(1))
-        halves = [slice(r, min(r + half, p)) for r in range(0, p, half)]
+        halves = [slice(r, min(r + _HALF, p)) for r in range(0, p, _HALF)]
         added = []
         for h, rows in enumerate(halves):
             drawn = self._pools[0].submit(self._draw_half, rng, h, rows,
-                                          added[h - 2] if h >= 2 else None)
+                                          added[h - _BUFFERS] if h >= _BUFFERS else None)
             added.append(self._pools[1].submit(self._add_lower, h, rows, drawn))
-        # the halves are added in order: a block is done with its last half
-        self._draws = [added[min(2 * j + 1, len(halves) - 1)]
-                       for j in range(len(self.blocks))]
+        # the halves are added in order: a block is done with the half that
+        # holds its last row
+        self._draws = [added[(rows.stop - 1) // _HALF] for rows in self.blocks]
         _prefault_lower(mapping, p)   # here, while the workers draw
 
     def _draw_half(self, rng: np.random.Generator, h: int, rows: slice, freed):
         if freed is not None:     # the half-block that last used this buffer
             freed.result()
-        rng.standard_normal(out=self._buffers[h % 2][:rows.stop - rows.start])
+        rng.standard_normal(out=self._buffers[h % _BUFFERS][:rows.stop - rows.start])
 
     def _add_lower(self, h: int, rows: slice, drawn):
         drawn.result()
         Y, r0, r1 = self.Y, rows.start, rows.stop
-        a = self._buffers[h % 2][:r1 - r0]
+        a = self._buffers[h % _BUFFERS][:r1 - r0]
         Y[r1:, rows] = a[:, r1:].T
         Y[rows, :r0] += a[:, :r0]
         tile, diagonal, lower = a[:, rows], Y[rows, rows], np.tri(r1 - r0, dtype=bool)
@@ -510,19 +548,23 @@ def sample_wishart(u_star: np.ndarray, v_star: np.ndarray, delta: float,
     that becomes Y; each row block is scaled and given its rows of the spike
     while the later rows are drawn, so Y equals the dense expression
     xi * sqrt(delta) + outer(u, v) / sqrt(p), u and v as float64, bit for bit.
+    The spike is formed _SPIKE_ROWS rows at a time in one reused buffer, so
+    the sampler holds 8 _SPIKE_ROWS p bytes beside Y whatever n is.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     u, v = np.asarray(u_star, dtype=float), np.asarray(v_star, dtype=float)
     n, p = len(u), len(v)
     scale, sqrt_p = math.sqrt(delta), math.sqrt(p)
+    spike = np.empty((min(_SPIKE_ROWS, n), p))
 
     def finish(Y, rows):
-        block = Y[rows]
-        block *= scale
-        spike = np.outer(u[rows], v)
-        spike /= sqrt_p
-        block += spike
+        Y[rows] *= scale
+        for start in range(rows.start, rows.stop, _SPIKE_ROWS):
+            tile = slice(start, min(start + _SPIKE_ROWS, rows.stop))
+            s = np.multiply.outer(u[tile], v, out=spike[:tile.stop - start])
+            s /= sqrt_p
+            Y[tile] += s
 
     Y = _draw_rows((n, p), seed, finish)
     model = Wishart(beta=n / p, prior_u=prior_u or gauss_prior())

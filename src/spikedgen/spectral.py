@@ -57,6 +57,15 @@ def lamp_coefficients(act: Activation, latent: SeparablePrior,
     return LampCoeffs(a=vv, b=vx * (vx / latent.rho), d=d)
 
 
+def lamp_factor_dim(coeffs: LampCoeffs, p: int, k: int) -> int:
+    """Columns of the factor F of the LAMP preconditioner K = F F^T.
+
+    K = (a - b) I + b W W^T / k: F = sqrt(b/k) W when a = b (k columns),
+    else [sqrt(a - b) I, sqrt(b/k) W] (p + k columns).
+    """
+    return k if coeffs.a == coeffs.b else p + k
+
+
 @dataclass
 class LampOperator:
     """Matrix-free Gamma = precond . data / Delta."""
@@ -83,10 +92,7 @@ class LampOperator:
     def factor_dim(self) -> int:
         if self.sigma is not None:
             return self.p
-        a, b = self.coeffs.a, self.coeffs.b
-        if a == b:
-            return self.k
-        return self.p + self.k
+        return lamp_factor_dim(self.coeffs, self.p, self.k)
 
     def factor_apply(self, y: np.ndarray) -> np.ndarray:
         """F y with K = F F^T."""
@@ -122,7 +128,7 @@ def _lower_product(Y: np.ndarray):
     a panel left of its diagonal tile is read twice per product, for its
     rows of L x and its columns of L^T x, and each diagonal tile is made
     symmetric from its lower triangle once, when the product is built
-    (8 _PANEL p bytes in all).  x may be a vector or a p x m matrix.  The
+    (`lower_product_bytes`).  x may be a vector or a p x m matrix.  The
     products are numpy's, like every other product of the Lanczos loop, so
     the loop stays on one BLAS library.
     """
@@ -130,8 +136,9 @@ def _lower_product(Y: np.ndarray):
     panels = []
     for start in range(0, p, _PANEL):
         rows = slice(start, min(start + _PANEL, p))
-        lower = np.tril(Y[rows, rows])
-        panels.append((rows, Y[rows, :start], lower + np.tril(lower, -1).T))
+        tile = np.tril(Y[rows, rows])
+        tile += np.tril(tile, -1).T
+        panels.append((rows, Y[rows, :start], tile))
 
     def product(x):
         y = np.empty(np.shape(x))
@@ -141,6 +148,16 @@ def _lower_product(Y: np.ndarray):
         return y
 
     return product
+
+
+def lower_product_bytes(p: int) -> int:
+    """Bytes `_lower_product` allocates for a p x p Y.
+
+    Its diagonal tiles, at most 8 _PANEL p bytes, and the one temporary
+    tile each is built through.
+    """
+    side = min(_PANEL, p)
+    return 8 * side * (p + side)
 
 
 def gram(inst: SpikedInstance):
@@ -210,9 +227,13 @@ def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOp
 # ---------------------------------------------------------------------------
 
 _MAX_STEPS = 1000    # default Lanczos step cap (the cap is min(dim, max_iter))
-_CHUNK = 64          # basis rows added each time the Lanczos basis fills up
 _CHECK_EVERY = 4     # Lanczos steps between two convergence checks on T_m
 _EPS = np.finfo(float).eps
+
+
+def lanczos_basis_bytes(dim: int, max_iter: int = _MAX_STEPS) -> int:
+    """Largest Lanczos basis of a top-2 solve on R^dim: 8 dim min(dim, max_iter)."""
+    return 8 * dim * min(dim, max_iter)
 
 
 class LanczosNoConvergence(RuntimeError):
@@ -230,19 +251,26 @@ def _lanczos_top2(matvec, dim: int, rng: np.random.Generator, tol: float,
     orthonormal to working precision and T_m = Q_m^T A Q_m is tridiagonal.
     Every `_CHECK_EVERY` steps the two largest Ritz pairs (theta_i, s_i) of
     T_m face ARPACK's rule beta_m |s_{m,i}| <= tol max(eps^(2/3), |theta_i|);
-    tol <= 0 means eps, as in ARPACK.  A Krylov space that is invariant (m = dim, or beta_m at rounding
-    level) holds exact eigenpairs and ends the loop; at m = 1 it continues
-    from a fresh rng vector instead, with beta_1 = 0.  At most
-    min(dim, max_iter) steps, one matvec each; the basis grows by `_CHUNK`
-    rows up to that many.  Returns the Ritz values (largest first), the
-    Ritz vectors as the columns of a (dim, 2) array, and the step count.
+    tol = 0 means eps, as in ARPACK, and a negative or non-finite tol is
+    refused.  A Krylov space that is invariant (m = dim, or beta_m at
+    rounding level) holds exact eigenpairs and ends the loop; at m = 1 it
+    continues from a fresh rng vector instead, with beta_1 = 0.  At most
+    cap = min(dim, max_iter) steps, one matvec each.  The basis is one
+    uninitialised cap x dim array that is never copied: its pages become
+    resident only when a step writes them, so a solve of m steps holds about
+    8 m dim bytes of it (in the pages of up to 2 MiB that numpy's allocator
+    asks for), and never more than `lanczos_basis_bytes(dim, max_iter)`.  Returns the Ritz
+    values (largest first), the Ritz vectors as the columns of a (dim, 2)
+    array, and the step count.
     """
     cap = min(dim, max_iter)
     if cap < 2:
         raise ValueError(f"top-2 Lanczos needs dimension and max_iter >= 2 "
                          f"(got {dim} and {max_iter})")
-    tol = tol if tol > 0 else _EPS
-    Q = np.empty((min(cap, _CHUNK), dim))
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative (got {tol})")
+    tol = tol or _EPS
+    Q = np.empty((cap, dim))
     v0 = rng.standard_normal(dim)
     Q[0] = v0 / np.linalg.norm(v0)
     alpha, beta = [], []
@@ -283,8 +311,6 @@ def _lanczos_top2(matvec, dim: int, rng: np.random.Generator, tol: float,
                     f"top-2 Lanczos did not converge in {cap} steps: worst Ritz "
                     f"estimate beta_m |s_m,i| / |theta_i| = {rel.max():.3g} "
                     f"> tol = {tol:g}")
-        if m == Q.shape[0]:
-            Q = np.concatenate([Q, np.empty((min(cap, m + _CHUNK) - m, dim))])
         beta.append(rnorm)
         Q[m] = w / np.linalg.norm(w)
 

@@ -2,16 +2,18 @@ import csv
 import hashlib
 import json
 import math
+import mmap
 import struct
 import threading
 
 import numpy as np
 import pytest
 
-from spikedgen import cli, priors, serialize as ser, spectral
+from spikedgen import amp, cli, priors, serialize as ser, spectral
 from spikedgen.priors import (LINEAR, gauss_prior, generate_spike, make_model, make_rng,
                               sample_u, sample_wigner, sample_wishart)
 from oracles import full_symmetric
+from test_priors import _run_python
 
 
 def run_main(args):
@@ -151,13 +153,43 @@ def test_spectral_records_carry_matvec_counts():
                                methods=["lamp", "pca"], seed=6)
     m = cli.run_single(cfg)["metrics"]
     gm, inst = cli._make_instance(cfg, cfg.seed)
-    pca = spectral.pca_estimate(inst, seed=cli.splitmix64(cfg.seed, 7))
+    pca = spectral.pca_estimate(inst, seed=cli.splitmix64(cfg.seed, 7), tol=cfg.eig_tol)
     op = spectral.build_lamp(inst, gm, spectral.lamp_coefficients(cfg.act(),
                                                                   cfg.latent_prior()))
     lamp = spectral.leading_eigs(op, tol=cfg.eig_tol, seed=cli.splitmix64(cfg.seed, 6))
     assert m["pca"]["iters"] == pca.iters > 0
     assert m["pca"]["eigenvalues"] == list(pca.eigenvalues)
     assert m["lamp"]["iters"] == lamp.iters > 0
+
+
+def test_pca_reads_eig_tol(tmp_path, capsys):
+    # a config-file eig_tol reaches PCA as it reaches LAMP: each pair meets
+    # the tolerance it was given, and the default is eig_tol's 1e-8
+    argv = ["pca", "--alpha", "2", "--delta", "1", "--p", "300", "--seed", "3"]
+    config = tmp_path / "tol.cfg"
+    records = {}
+    for tol in (None, 1e-4, 1e-8, 1e-12):
+        config.write_text(f"eig_tol={tol!r}\n" if tol else "")
+        assert run_main(argv + ["--config", str(config)]) == 0
+        records[tol] = json.loads(capsys.readouterr().out)["metrics"]["pca"]
+    assert records[None] == records[1e-8]
+    assert records[1e-4]["iters"] < records[1e-8]["iters"] < records[1e-12]["iters"]
+    for tol in (1e-4, 1e-8, 1e-12):
+        m = records[tol]
+        for value, residual in zip(m["eigenvalues"], m["residuals"]):
+            assert residual <= 2 * tol * abs(value)
+    assert max(records[1e-4]["residuals"]) > 1e-3 * 1e-4
+
+
+def test_amp_record_carries_nishimori_gap():
+    # the Bayes-optimal fixed point has |q_v| = |v_hat|^2 / p; at this size
+    # seeds 0-4 read gaps of 0.006-0.036 at |q_v| of 0.60-0.83
+    cfg = cli.ExperimentConfig(alpha=2.0, delta=1.0, k=300, methods=["amp"], seed=3)
+    m = cli.run_single(cfg)["metrics"]["amp"]
+    gm, inst = cli._make_instance(cfg, cfg.seed)
+    res = amp.amp_wigner_run(inst, gm, cfg=cfg.amp_config(), seed=cli.splitmix64(3, 5))
+    assert m["nishimori_gap"] == abs(abs(res.overlap_trace[-1]) - res.self_overlap_trace[-1])
+    assert abs(m["q_v"]) > 0.5 and m["nishimori_gap"] <= 0.1
 
 
 _SMALLEST = {
@@ -329,6 +361,16 @@ BAD_INPUT = {
     "config_se_max_iter_negative": lambda t: _config_args(t, "se_max_iter=-3"),
     "config_amp_max_iter_zero": lambda t: _config_args(
         t, "amp_max_iter=0", ("amp", "--alpha", "2", "--delta", "1", "--p", "200")),
+    # the Lanczos tolerance of lamp, pca and cov-lamp: tol = 0 means machine
+    # epsilon, as in ARPACK; below 0 or not finite it is refused
+    "config_eig_tol_negative": lambda t: _config_args(
+        t, "eig_tol=-1e-8", ("pca", "--alpha", "2", "--delta", "1", "--p", "40")),
+    "config_eig_tol_nan": lambda t: _config_args(
+        t, "eig_tol=nan", ("lamp", "--alpha", "2", "--delta", "1", "--p", "40")),
+    "config_eig_tol_inf": lambda t: _config_args(
+        t, "eig_tol=inf", ("pca", "--alpha", "2", "--delta", "1", "--p", "40")),
+    "cov_lamp_negative_tol": lambda t: [*_cov_lamp_args(t), "--tol=-1e-8"],
+    "cov_lamp_nan_tol": lambda t: [*_cov_lamp_args(t), "--tol", "nan"],
     "grid_count_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta-grid", "1:2:x"],
     "se_rho_z_zero": lambda t: ["se", "--rho-z", "0", "--alpha", "2", "--delta", "1"],
     "se_negative_tol": lambda t: ["se", "--alpha", "2", "--delta", "1", "--se-tol", "-1"],
@@ -376,21 +418,79 @@ def test_compare_rmt_se_accepts_its_own_fields(capsys):
     assert capsys.readouterr().out == default
 
 
+def _basis(dim):
+    """Bytes of the largest Lanczos basis on R^dim (the step cap is 1000)."""
+    return 8 * dim * min(dim, 1000)
+
+
 @pytest.mark.parametrize("model, n", [("wigner", 3000), ("wishart", 4500)])
 def test_check_fits_models_resident_bytes(monkeypatch, model, n):
     # at the boundary, with the physical memory faked: nothing is allocated.
-    # Wigner: the lower triangle of Y, W and the sampler's row buffers
+    # W and Y (a Wigner Y is its lower triangle, and each of its rows
+    # reaches about one page into the unwritten upper one), the samplers'
+    # fixed-row scratch (Wigner: three 128-row buffers, a 512 x 512 spike
+    # tile and its mask; Wishart: a 32-row spike tile), and per spectral method
+    # its largest Lanczos basis and, on a Wigner Y, the product's 1024-row
+    # diagonal tiles with the one they are built through
     p, k = 3000, 1500
-    need = (8 * (p * (p + 1) // 2 + p * k + priors._BLOCK * p) if model == "wigner"
-            else 8 * (n * p + p * k))
-    for ram in (need, need - 8):
-        pages = {"SC_PHYS_PAGES": ram // 8, "SC_PAGE_SIZE": 8}
-        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-        if ram == need:
-            cli._check_fits(model, n, p, k)
-        else:
-            with pytest.raises(cli.UsageError, match="physical memory"):
-                cli._check_fits(model, n, p, k)
+    if model == "wigner":
+        base = (8 * p * k + 4 * p * (p + 1) + p * mmap.PAGESIZE
+                + 8 * 3 * 128 * p + 9 * 512 ** 2)
+        tiles = 8 * 1024 * (p + 1024)
+    else:
+        base, tiles = 8 * p * k + 8 * n * p + 8 * 32 * p, 0
+    cases = [("linear", ["amp"], base),
+             # linear: a = b, so the LAMP factor has k columns; PCA's has p
+             ("linear", ["amp", "lamp", "pca"],
+              base + _basis(k) + _basis(p) + 2 * tiles),
+             # sign: a > b, so the LAMP factor has p + k columns
+             ("sign", ["lamp"], base + _basis(p + k) + tiles)]
+    for activation, methods, need in cases:
+        cfg = cli.ExperimentConfig(model=model, activation=activation, beta=n / p,
+                                   methods=methods)
+        for ram in (need, need - 1):
+            pages = {"SC_PHYS_PAGES": ram, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+            if ram == need:
+                assert cli._check_fits(cfg, n, p, k) == need
+            else:
+                with pytest.raises(cli.UsageError, match="physical memory"):
+                    cli._check_fits(cfg, n, p, k)
+
+
+RUN_PEAK = """
+import sys
+from spikedgen import cli
+
+def peak_rss():   # VmHWM, in bytes; it counts mmap buffers too
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmHWM:"))
+
+model, p, methods = sys.argv[1], int(sys.argv[2]), sys.argv[3].split(",")
+
+def config(p):
+    return cli.ExperimentConfig(model=model, alpha=2.0, beta=1.5, delta=1.0, p=p,
+                                methods=methods, amp_max_iter=30, seed=1)
+
+cli.run_single(config(40))     # the lazy imports and caches, at a negligible size
+cfg = config(p)
+p, k = cfg.dims()
+need = cli._check_fits(cfg, p if model == "wigner" else round(1.5 * p), p, k)
+before = peak_rss()
+cli.run_single(cfg)
+print(peak_rss() - before, need)
+"""
+
+
+@pytest.mark.parametrize("model, p, methods", [("wishart", 1500, "amp,lamp,pca"),
+                                               ("wigner", 3000, "amp")])
+def test_run_single_peak_within_resident_model(model, p, methods):
+    # in a fresh interpreter, a run grows VmHWM by no more than `_check_fits`
+    # predicts from (n, p, k) and the methods, with 16 MiB for the rest
+    # (vectors, Python objects, the allocator's own pages)
+    growth, need = map(int, _run_python(RUN_PEAK, model, str(p), methods).split())
+    assert growth <= need + 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("argv", [["rmt", "--alpha", "1e308", "--delta", "1"],

@@ -193,7 +193,8 @@ def test_samplers_match_dense_reference(delta):
         v = pr.make_rng(p).standard_normal(p)
         Y = pr.sample_wigner(v, delta, seed=p + 1).Y
         assert np.array_equal(Y, np.tril(_dense_wigner(v, delta, p + 1)))
-    for n, p in ((300, 700), (1100, 513)):
+    # Wishart: n below, at and across the 32-row spike tile and the block
+    for n, p in ((7, 30), (32, 45), (300, 700), (545, 97), (1100, 513)):
         u, v = pr.make_rng(n).standard_normal(n), pr.make_rng(p).standard_normal(p)
         Y = pr.sample_wishart(u, v, delta, seed=n + p).Y
         assert np.array_equal(Y, _dense_wishart(u, v, delta, n + p))
@@ -231,11 +232,13 @@ print(peak_rss() - before)
 
 def test_sampler_peak_is_one_buffer():
     # Wigner (p = 3000): the lower triangle of Y, 4 p (p + 1) bytes, and the
-    # draw's row buffers; Wishart (n x p = 3000 x 2000): the dense Y, 8 n p
-    # bytes, with a quarter to spare
+    # draw's _BUFFERS row buffers of _HALF x p; the 16 MiB hold the pages
+    # that the triangle's rows share with the upper one (one per row,
+    # 11.7 MiB) and the spike tile.  Wishart (n x p = 3000 x 2000): the dense
+    # Y, 8 n p bytes, with a quarter to spare
     wigner = int(_run_python(SAMPLER_PEAK, "wigner"))
     wishart = int(_run_python(SAMPLER_PEAK, "wishart"))
-    assert wigner <= 4 * 3000 * 3001 + 8 * pr._BLOCK * 3000 + 16 * 2 ** 20
+    assert wigner <= 4 * 3000 * 3001 + 8 * pr._BUFFERS * pr._HALF * 3000 + 16 * 2 ** 20
     assert wishart < 1.25 * 8 * 3000 * 2000
 
 

@@ -192,6 +192,16 @@ def test_lanczos_reports_non_convergence():
     assert isinstance(err.value, RuntimeError)
 
 
+@pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+def test_lanczos_refuses_a_negative_or_non_finite_tol(tol):
+    # tol = 0 means machine epsilon, as in ARPACK; nothing else is rewritten
+    a = _sym(20, 11)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        sp._lanczos_top2(a.__matmul__, 20, make_rng(0), tol, 1000)
+    vals, _, _ = sp._lanczos_top2(a.__matmul__, 20, make_rng(0), 0.0, 1000)
+    np.testing.assert_allclose(vals, np.linalg.eigh(a)[0][::-1][:2], rtol=1e-12, atol=0)
+
+
 def test_symmetric_path_on_known_eigenpairs():
     gm, inst = _instance(300, 150, 1.0, seed=21)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1)
