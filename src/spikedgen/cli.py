@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -40,7 +41,7 @@ RMT_DENSITY_HEADER = ["x", "density"]
 RMT_EDGE_HEADER = ["delta", "lambda_max", "s_edge", "epsilon"]
 COMPARE_HEADER = ["delta", "q_v_se", "epsilon_rmt", "abs_diff"]
 
-ALL_METHODS = ("se", "amp", "lamp", "pca", "mi", "rmt")
+ALL_METHODS = ("se", "amp", "lamp", "pca", "mi")
 
 
 class UsageError(ValueError):
@@ -95,30 +96,24 @@ class ExperimentConfig:
     eig_tol: float = 1e-8
 
     def validate(self):
-        if self.model not in ("wigner", "wishart"):
-            raise UsageError(f"model: unknown value {self.model!r}")
-        if self.activation not in ("linear", "sign", "relu"):
-            raise UsageError(f"activation: unknown value {self.activation!r}")
-        if self.latent not in ("gauss", "rademacher"):
-            raise UsageError(f"latent: unknown value {self.latent!r}")
+        """Refuse values no run can use; the builders decide the allowed names."""
+        for name, kind in _FIELD_TYPES.items():
+            val = getattr(self, name)
+            if ((kind is float and val is not None and not math.isfinite(val))
+                    or (kind == list[float] and not all(map(math.isfinite, val)))):
+                raise UsageError(f"{name}: must be finite")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"methods: unknown method {m!r}")
-        for name in ("alpha", "beta", "delta"):
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise UsageError(f"{name}: must be finite")
-        for name in ("alpha_grid", "delta_grid"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise UsageError(f"{name}: values must be finite")
         if self.delta is not None and not self.delta > 0:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
             raise UsageError("alpha: must be nonnegative")
-        if not (math.isfinite(self.eig_tol) and self.eig_tol >= 0):
-            raise UsageError("eig_tol: must be finite and nonnegative")
-        for keys, build in (("latent/rho_z", self.latent_prior),
-                            ("beta/prior_u/rho_u", self.model_kind),
+        if self.eig_tol < 0:
+            raise UsageError("eig_tol: must be nonnegative")
+        for keys, build in (("activation", self.act),
+                            ("latent/rho_z", self.latent_prior),
+                            ("model/beta/prior_u/rho_u", self.model_kind),
                             ("se_*", self.se_config),
                             ("amp_*", self.amp_config)):
             try:
@@ -139,7 +134,9 @@ class ExperimentConfig:
     def model_kind(self):
         if self.model == "wigner":
             return Wigner()
-        return Wishart(beta=self.beta, prior_u=self.u_prior())
+        if self.model == "wishart":
+            return Wishart(beta=self.beta, prior_u=self.u_prior())
+        raise ValueError(f"unknown model {self.model!r}")
 
     def se_config(self) -> se_mod.SEConfig:
         return se_mod.SEConfig(damping=self.se_damping, tol=self.se_tol,
@@ -298,18 +295,16 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     if "lamp" in cfg.methods and not act.zero_mean_output:
         raise UsageError(f"lamp: activation {cfg.activation!r} has no uninformative "
                          "fixed point to linearize around")
-    if not cfg.alpha > 0 and {"mi", "rmt"} & set(cfg.methods):
-        raise UsageError("alpha: mi and rmt need alpha > 0")
+    if not cfg.alpha > 0 and "mi" in cfg.methods:
+        raise UsageError("alpha: mi needs alpha > 0")
     if "mi" in cfg.methods and cfg.model != "wigner":
         raise UsageError("mi: the replica mutual information is implemented for "
                          "the Wigner model only")
-    needs_instance = any(m in cfg.methods for m in ("amp", "lamp", "pca"))
     gm = inst = None
-    if needs_instance:
+    if {"amp", "lamp", "pca"} & set(cfg.methods):
         gm, inst = _make_instance(cfg, seed)
 
     for method in cfg.methods:
-        m: dict = {}
         if method == "se":
             pp = se_mod.se_fixed_point(cfg.se_config(), cfg.delta, cfg.alpha,
                                        act, latent, cfg.model_kind())
@@ -325,15 +320,6 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             i_rs, q_v = se_mod.mutual_information(cfg.delta, cfg.alpha, act, latent,
                                                   cfg.se_config())
             m = {"i_rs": i_rs, "q_v": q_v}
-        elif method == "rmt":
-            if cfg.activation != "linear":
-                raise UsageError("rmt: analytic spectrum requires linear activation")
-            base = rmt_mod.base_law(cfg.model_kind(), cfg.delta, cfg.beta)
-            edge = rmt_mod.solve_s_edge(base, cfg.alpha)
-            m = {"lambda_max": edge.lambda_max, "s_edge": edge.s_edge,
-                 "edge_residual": edge.residual}
-            if cfg.model == "wigner":
-                m["epsilon"] = rmt_mod.epsilon_overlap(cfg.alpha, cfg.delta)
         elif method == "amp":
             # amp_wigner_run or amp_wishart_run, looked up at call time; a
             # Wishart run denoises u with the instance's prior, cfg.u_prior()
@@ -357,13 +343,11 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             sr = spectral_mod.leading_eigs(spectral_mod.build_lamp(inst, gm, coeffs),
                                            truth=inst.v_star, tol=cfg.eig_tol,
                                            seed=splitmix64(seed, 6))
-            mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
-            m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
-                 "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
         elif method == "pca":
             _check_eig_dim("pca", inst.p)
             sr = spectral_mod.pca_estimate(inst, seed=splitmix64(seed, 7),
                                            tol=cfg.eig_tol)
+        if method in ("lamp", "pca"):
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
                  "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
@@ -405,29 +389,14 @@ def run_sweep(cfg: ExperimentConfig, out_path=None) -> list:
     cfg_dict = asdict(cfg)
     points = [(cfg_dict, a, d) for a in alphas for d in deltas]
     rows = []
-    writer = fh = None
-    if out_path:
-        fh = open(out_path, "w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-    try:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for chunk in pool.map(_sweep_point, points):
-                    rows.extend(chunk)
-                    if writer:
-                        writer.writerows(chunk)
-                        fh.flush()
-        else:
-            for args in points:
-                chunk = _sweep_point(args)
-                rows.extend(chunk)
-                if writer:
-                    writer.writerows(chunk)
-                    fh.flush()
-    finally:
-        if fh:
-            fh.close()
+    with contextlib.ExitStack() as stack:
+        write = stack.enter_context(_csv_rows(out_path, SWEEP_HEADER)) if out_path else None
+        pool = (stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
+                if cfg.workers > 1 else None)
+        for chunk in (pool.map if pool else map)(_sweep_point, points):
+            rows.extend(chunk)
+            if write:
+                write(chunk)
     return rows
 
 
@@ -448,10 +417,7 @@ def compare_rmt_se(alpha: float, delta_grid, out_path=None,
         eps = rmt_mod.epsilon_overlap(alpha, d)
         rows.append([d, pp.q_v_star, eps, abs(pp.q_v_star - eps)])
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(COMPARE_HEADER)
-            w.writerows(rows)
+        _write_csv(out_path, COMPARE_HEADER, rows)
     return rows
 
 
@@ -460,37 +426,42 @@ def compare_rmt_se(alpha: float, delta_grid, out_path=None,
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
+    """--config, then one string flag per config key, read like the key."""
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output path")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--model", choices=["wigner", "wishart"])
-    p.add_argument("--activation", choices=["linear", "sign", "relu"])
-    p.add_argument("--latent", choices=["gauss", "rademacher"])
-    p.add_argument("--rho-z", dest="rho_z", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--delta-grid", dest="delta_grid")
-    p.add_argument("--alpha-grid", dest="alpha_grid")
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--methods")
-    p.add_argument("--se-init", dest="se_init", choices=["uninformative", "informative"])
-    p.add_argument("--se-tol", dest="se_tol", type=float)
-    p.add_argument("--amp-tol", dest="amp_tol", type=float)
-    p.add_argument("--amp-max-iter", dest="amp_max_iter", type=int)
+    for name in _FIELD_TYPES:
+        p.add_argument("--" + name.replace("_", "-"), help=f"config key {name}")
 
 
-def _build_cfg(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def _build_cfg(args, **preset) -> ExperimentConfig:
+    """`preset`, then the --config file, then the flags; each overrides the last."""
+    cfg = ExperimentConfig(**preset)
     if args.config:
         apply_settings(cfg, load_config_file(args.config))
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "func") and v is not None
-                 and hasattr(cfg, k)}
-    apply_settings(cfg, overrides)
-    return cfg
+    return apply_settings(cfg, {name: getattr(args, name) for name in _FIELD_TYPES})
+
+
+@contextlib.contextmanager
+def _csv_rows(path, header, fmt=str):
+    """Yields write(rows), putting rows under `header`: into the file at
+    `path` through csv.writer, flushed per call, or with no path onto stdout
+    as comma-joined fmt(value)."""
+    if not path:
+        print(",".join(header))
+        yield lambda rows: sys.stdout.writelines(",".join(map(fmt, r)) + "\n" for r in rows)
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+
+        def write(rows):
+            writer.writerows(rows)
+            fh.flush()
+        yield write
+
+
+def _write_csv(path, header, rows, fmt=str):
+    with _csv_rows(path, header, fmt) as write:
+        write(rows)
 
 
 def _emit_record(record, out):
@@ -522,19 +493,16 @@ def _jsonable(obj):
 
 
 def _cmd_method(args, method):
-    cfg = _build_cfg(args)
-    cfg.validate()
-    cfg.methods = [method]
+    cfg = _build_cfg(args, methods=[method])
+    if cfg.methods != [method]:
+        raise UsageError(f"methods: the {method} command runs {method} only")
     record = run_single(cfg)
     _emit_record(record, cfg.out)
     if method == "amp" and cfg.out:
         trace = record["metrics"]["amp"]["trace"]
-        with open(cfg.out + ".trace.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_HEADER)
-            for t, (qv, qz, mv) in enumerate(zip(trace["q_v"], trace["q_z"],
-                                                 trace["mse_v"])):
-                w.writerow([t, qv, qz, mv])
+        _write_csv(cfg.out + ".trace.csv", TRACE_HEADER,
+                   ((t, *row) for t, row in enumerate(zip(trace["q_v"], trace["q_z"],
+                                                          trace["mse_v"]))))
     return 0
 
 
@@ -542,9 +510,7 @@ def _cmd_sweep(args):
     cfg = _build_cfg(args)
     rows = run_sweep(cfg, out_path=cfg.out)
     if not cfg.out:
-        print(",".join(SWEEP_HEADER))
-        for r in rows:
-            print(",".join(str(v) for v in r))
+        _write_csv(None, SWEEP_HEADER, rows)
     return 0
 
 
@@ -559,11 +525,8 @@ def _cmd_compare(args):
                          "Wigner model with a linear activation and a N(0, 1) "
                          "latent (model=wigner, activation=linear, latent=gauss, "
                          "rho_z=1)")
-    rows = compare_rmt_se(cfg.alpha, cfg.delta_grid, out_path=cfg.out)
-    if not cfg.out:
-        print(",".join(COMPARE_HEADER))
-        for r in rows:
-            print(",".join(f"{v:.12g}" for v in r))
+    rows = compare_rmt_se(cfg.alpha, cfg.delta_grid)
+    _write_csv(cfg.out, COMPARE_HEADER, rows, "{:.12g}".format)
     return 0
 
 
@@ -572,6 +535,9 @@ def _cmd_rmt(args):
     cfg.validate()
     if cfg.activation != "linear":
         raise UsageError("rmt: analytic spectrum requires linear activation")
+    if cfg.rho_z != 1 or (cfg.model == "wishart" and cfg.rho_u != 1):
+        raise UsageError("rmt: the analytic spectrum assumes rho_z = 1, and rho_u = 1 "
+                         "for Wishart")
     if args.density_points < 1:
         raise UsageError("density_points: must be at least 1")
     deltas = cfg.delta_grid or ([cfg.delta] if cfg.delta is not None else [])
@@ -593,31 +559,15 @@ def _cmd_rmt(args):
         eps = (rmt_mod.epsilon_overlap(cfg.alpha, d)
                if cfg.model == "wigner" else float("nan"))
         edge_rows.append([d, lam, s_edge, eps])
-    out = cfg.out
-    if out:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(RMT_EDGE_HEADER)
-            w.writerows(edge_rows)
-    else:
-        print(",".join(RMT_EDGE_HEADER))
-        for r in edge_rows:
-            print(",".join(f"{v:.12g}" for v in r))
+    _write_csv(cfg.out, RMT_EDGE_HEADER, edge_rows, "{:.12g}".format)
     if args.density_out:
-        d = deltas[0]
-        base = rmt_mod.base_law(model, d, cfg.beta)
-        try:
-            edge = rmt_mod.solve_s_edge(base, cfg.alpha)
-            hi = edge.lambda_max + 0.3
-        except rmt_mod.NegativeSupportError:
-            hi = 0.3
+        # the first delta's law, up to 0.3 past its edge when it has one
+        base = rmt_mod.base_law(model, deltas[0], cfg.beta)
+        lam = edge_rows[0][1]
+        hi = 0.3 if math.isnan(lam) else lam + 0.3
         grid = np.linspace(base.t_min * cfg.alpha - 1.0, hi, args.density_points)
         bd = rmt_mod.bulk_density(base, cfg.alpha, grid)
-        with open(args.density_out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(RMT_DENSITY_HEADER)
-            for x, dens in zip(bd.x, bd.nu):
-                w.writerow([x, dens])
+        _write_csv(args.density_out, RMT_DENSITY_HEADER, zip(bd.x, bd.nu))
     return 0
 
 
@@ -651,12 +601,16 @@ def _cmd_cov_lamp(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def make_parser():
-    ap = argparse.ArgumentParser(prog="spikedgen",
-                                 description="spiked matrix models with "
-                                             "generative priors")
+    ap = _Parser(prog="spikedgen",
+                 description="spiked matrix models with generative priors")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("se", "amp", "lamp", "pca", "mi"):
+    for name in ALL_METHODS:
         p = sub.add_parser(name, help=f"single {name} run")
         _add_common(p)
         p.set_defaults(func=lambda a, n=name: _cmd_method(a, n))

@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import mmap
+import re
 import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,6 +408,28 @@ BAD_INPUT = {
     "rmt_density_points_negative": lambda t: ["rmt", "--alpha", "2", "--delta", "1",
                                               "--density-points", "-3",
                                               "--density-out", str(t / "f.csv")],
+    # every flag is read as its config key is, and every float and list of
+    # float key must be finite; names are those the constructors accept
+    "se_alpha_not_a_number": lambda t: ["se", "--alpha", "abc", "--delta", "1"],
+    "se_unknown_model": lambda t: ["se", "--model", "foo", "--alpha", "2", "--delta", "1"],
+    "se_tol_nan": lambda t: ["se", "--alpha", "2", "--delta", "1", "--se-tol", "nan"],
+    "amp_tol_inf": lambda t: ["amp", "--alpha", "2", "--delta", "1", "--p", "40",
+                              "--amp-tol", "inf"],
+    "se_rho_z_inf": lambda t: ["se", "--rho-z", "inf", "--alpha", "2", "--delta", "1"],
+    "config_init_sigma2_nan": lambda t: _config_args(
+        t, "init_sigma2=nan", ("amp", "--alpha", "2", "--delta", "1", "--p", "40")),
+    # the analytic spectrum is that of unit second moments: base_law takes
+    # neither rho_z nor rho_u
+    "rmt_rho_z_not_one": lambda t: ["rmt", "--alpha", "2", "--delta", "2", "--rho-z", "2"],
+    "rmt_wishart_rho_u_not_one": lambda t: ["rmt", "--model", "wishart", "--rho-u", "2",
+                                            "--alpha", "2", "--delta", "1"],
+    # a single-method command runs its own method only
+    "amp_methods_other": lambda t: ["amp", "--methods", "pca", "--alpha", "2",
+                                    "--delta", "1", "--p", "40"],
+    # what argparse itself refuses returns 2 from main() as well
+    "se_unknown_flag": lambda t: ["se", "--alpha", "2", "--delta", "1", "--sorcery", "1"],
+    "rmt_density_points_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta", "1",
+                                                "--density-points", "x"],
 }
 
 
@@ -516,6 +541,51 @@ def test_relu_se_at_tiny_delta_is_numerical_failure(capsys):
 def test_bad_input_exits_2(tmp_path, capsys, case):
     assert run_main(BAD_INPUT[case](tmp_path)) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+# a text that reads as a non-default value of each field type
+_OTHER_TEXT = {str: "other", int: "7", float: "0.25", list[float]: "0.5,1.5",
+               list[str]: "amp,pca"}
+COMMON_COMMANDS = ("se", "amp", "lamp", "pca", "mi", "rmt", "sweep", "compare-rmt-se")
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(cli.ExperimentConfig)])
+def test_every_config_key_is_a_flag(tmp_path, name):
+    # the flag --<key> and the config line <key>=... give equal configs, on
+    # every subcommand that reads the config
+    text = _OTHER_TEXT[cli._FIELD_TYPES[name]]
+    config = tmp_path / "one.cfg"
+    config.write_text(f"{name}={text}\n")
+    parser = cli.make_parser()
+    for command in COMMON_COMMANDS:
+        from_flag = cli._build_cfg(parser.parse_args(
+            [command, "--" + name.replace("_", "-"), text]))
+        from_file = cli._build_cfg(parser.parse_args([command, "--config", str(config)]))
+        assert from_flag == from_file
+        assert getattr(from_flag, name) != getattr(cli.ExperimentConfig(), name)
+
+
+_TYPE_TEXT = {str: "str", int: "int", float: "float", list[float]: "list of float",
+              list[str]: "list of str"}
+
+
+def test_readme_config_table_matches_the_dataclass():
+    # README's configuration table lists exactly the fields, each with its
+    # flag, its type and its default ("unset" for None and an empty list)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([\w-]+)` \| ([^|]+) \| ([^|]+) \|", section,
+                      re.MULTILINE)
+    defaults = cli.ExperimentConfig()
+    assert [row[0] for row in rows] == [f.name for f in dataclasses.fields(defaults)]
+    for key, flag, type_text, default_text in rows:
+        kind, default = cli._FIELD_TYPES[key], getattr(defaults, key)
+        assert flag == "--" + key.replace("_", "-")
+        assert type_text.strip() == _TYPE_TEXT[kind]
+        if default_text.strip() == "unset":
+            assert default in (None, [])
+        else:
+            assert cli._parse_value(kind, default_text.strip().strip("`")) == default
 
 
 def _sha(*arrays):
