@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise UsageError("alpha: must be nonnegative")
         if self.eig_tol < 0:
             raise UsageError("eig_tol: must be nonnegative")
+        if self.workers < 1:
+            raise UsageError("workers: must be at least 1")
         for keys, build in (("activation", self.act),
                             ("latent/rho_z", self.latent_prior),
                             ("model/beta/prior_u/rho_u", self.model_kind),
@@ -282,6 +284,33 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
     return gm, inst
 
 
+def _spectral_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
+    """The requested spectral methods' results, by name.
+
+    Requested together, LAMP and PCA run in lockstep (`spectral.lamp_and_pca`),
+    one product with Y per step for both; alone, each runs its own solve.  Either
+    way LAMP's rng is splitmix64(seed, 6) and PCA's splitmix64(seed, 7).
+    """
+    wanted = {"lamp", "pca"} & set(cfg.methods)
+    coeffs = None
+    if "lamp" in wanted:
+        coeffs = spectral_mod.lamp_coefficients(cfg.act(), cfg.latent_prior(),
+                                                cfg.model_kind())
+        _check_eig_dim("lamp", spectral_mod.lamp_factor_dim(coeffs, gm.p, gm.k))
+    if "pca" in wanted:
+        _check_eig_dim("pca", inst.p)
+    lamp_seed, pca_seed = splitmix64(seed, 6), splitmix64(seed, 7)
+    if wanted == {"lamp", "pca"}:
+        lamp, pca = spectral_mod.lamp_and_pca(inst, gm, coeffs, tol=cfg.eig_tol,
+                                              lamp_seed=lamp_seed, pca_seed=pca_seed)
+        return {"lamp": lamp, "pca": pca}
+    if "lamp" in wanted:
+        return {"lamp": spectral_mod.leading_eigs(spectral_mod.build_lamp(inst, gm, coeffs),
+                                                  truth=inst.v_star, tol=cfg.eig_tol,
+                                                  seed=lamp_seed)}
+    return {"pca": spectral_mod.pca_estimate(inst, seed=pca_seed, tol=cfg.eig_tol)}
+
+
 def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     """Run every requested method on one shared instance; returns the record."""
     cfg.validate()
@@ -301,6 +330,7 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
         raise UsageError("mi: the replica mutual information is implemented for "
                          "the Wigner model only")
     gm = inst = None
+    solved = {}
     if {"amp", "lamp", "pca"} & set(cfg.methods):
         gm, inst = _make_instance(cfg, seed)
 
@@ -335,19 +365,10 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
                            "mse_v": res.mse_trace}}
             if res.overlap_u is not None:
                 m["q_u"] = res.overlap_u
-        elif method == "lamp":
-            coeffs = spectral_mod.lamp_coefficients(act, latent, cfg.model_kind())
-            _check_eig_dim("lamp", spectral_mod.lamp_factor_dim(coeffs, gm.p, gm.k))
-            # no name holds the operator, so a Wigner product's tiles are
-            # freed before a later method builds its own
-            sr = spectral_mod.leading_eigs(spectral_mod.build_lamp(inst, gm, coeffs),
-                                           truth=inst.v_star, tol=cfg.eig_tol,
-                                           seed=splitmix64(seed, 6))
-        elif method == "pca":
-            _check_eig_dim("pca", inst.p)
-            sr = spectral_mod.pca_estimate(inst, seed=splitmix64(seed, 7),
-                                           tol=cfg.eig_tol)
-        if method in ("lamp", "pca"):
+        elif method in ("lamp", "pca"):
+            if method not in solved:
+                solved = _spectral_solves(cfg, gm, inst, seed)
+            sr = solved.pop(method)
             mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
             m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
                  "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
@@ -388,11 +409,13 @@ def run_sweep(cfg: ExperimentConfig, out_path=None) -> list:
         raise UsageError("delta_grid: sweep needs non-empty grids")
     cfg_dict = asdict(cfg)
     points = [(cfg_dict, a, d) for a in alphas for d in deltas]
+    # the pool starts all its workers at once, so it is no larger than the grid
+    workers = min(cfg.workers, len(points))
     rows = []
     with contextlib.ExitStack() as stack:
         write = stack.enter_context(_csv_rows(out_path, SWEEP_HEADER)) if out_path else None
-        pool = (stack.enter_context(ProcessPoolExecutor(max_workers=cfg.workers))
-                if cfg.workers > 1 else None)
+        pool = (stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                if workers > 1 else None)
         for chunk in (pool.map if pool else map)(_sweep_point, points):
             rows.extend(chunk)
             if write:
@@ -525,6 +548,13 @@ def _cmd_compare(args):
                          "Wigner model with a linear activation and a N(0, 1) "
                          "latent (model=wigner, activation=linear, latent=gauss, "
                          "rho_z=1)")
+    defaults = ExperimentConfig()
+    moved = [name for name in _FIELD_TYPES
+             if name.startswith("se_") and getattr(cfg, name) != getattr(defaults, name)]
+    if moved:
+        raise UsageError(f"compare-rmt-se: {', '.join(moved)} off the default; it "
+                         "always solves SE from the informative init at its own "
+                         "tolerance, so it reads no se_* key")
     rows = compare_rmt_se(cfg.alpha, cfg.delta_grid)
     _write_csv(cfg.out, COMPARE_HEADER, rows, "{:.12g}".format)
     return 0

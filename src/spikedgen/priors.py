@@ -332,19 +332,21 @@ def sampler_scratch_bytes(p: int, symmetric: bool) -> int:
 _MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE", 23)
 
 
-def _lower_triangle_buffer(p: int) -> tuple[np.ndarray, mmap.mmap]:
-    """Zero p x p float64 array on an anonymous mapping of its own, and the mapping.
+def lazy_array(rows: int, cols: int) -> tuple[np.ndarray, mmap.mmap]:
+    """Zero rows x cols float64 array on an anonymous mapping of its own, and the mapping.
 
     The mapping has no huge pages, so a page of it becomes resident only
-    when written, and an array of which only the lower triangle is written
-    holds about half its bytes.  numpy's allocator asks for 2 MiB huge pages
-    for large arrays; each of those would hold the start of some row and
-    fault in the whole matrix.
+    when written: the Wigner Y, of which only the lower triangle is written,
+    holds about half its bytes, and a Lanczos basis only the rows written so
+    far.  numpy's allocator asks for 2 MiB huge pages for large arrays; in
+    the Wigner Y each of those would hold the start of some row and fault in
+    the whole matrix, and in a basis the last one would be mostly unwritten.
     """
-    mapping = mmap.mmap(-1, max(8 * p * p, 1), flags=mmap.MAP_PRIVATE)
+    mapping = mmap.mmap(-1, max(8 * rows * cols, 1), flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         mapping.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(mapping, dtype=float, count=p * p).reshape(p, p), mapping
+    array = np.frombuffer(mapping, dtype=float, count=rows * cols).reshape(rows, cols)
+    return array, mapping
 
 
 def _prefault_lower(mapping: mmap.mmap, p: int):
@@ -400,7 +402,7 @@ class _NoiseDraw:
                            for rows in self.blocks]
             return
         p = shape[0]
-        self.Y, mapping = _lower_triangle_buffer(p)
+        self.Y, mapping = lazy_array(p, p)
         self._buffers = [np.empty((min(_HALF, p), p)) for _ in range(_BUFFERS)]
         self._pools.append(ThreadPoolExecutor(1))
         halves = [slice(r, min(r + _HALF, p)) for r in range(0, p, _HALF)]

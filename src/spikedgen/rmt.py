@@ -19,13 +19,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .priors import Wigner, Wishart, gauss_legendre
 
 EDGE_GUARD = 1e-10   # bracket guard; the edge integrand is singular at -1/z1
 _DENSITY_PREFIX = 50  # damped Silverstein steps before Newton takes over
 _NEWTON_MAX = 50      # Newton steps a density point may take before falling back
+
+
+def brentq(*args, **kwargs):
+    """`scipy.optimize.brentq`, imported at the first call, as `state_evolution.root` is."""
+    from scipy.optimize import brentq as scipy_brentq
+    return scipy_brentq(*args, **kwargs)
 
 
 class NegativeSupportError(ValueError):

@@ -103,6 +103,36 @@ def test_sweep_workers_equivalence(tmp_path):
     assert sorted(map(str, rows1)) == sorted(map(str, rows2))
 
 
+def test_sweep_pool_no_larger_than_the_grid(monkeypatch):
+    # the pool starts all its workers at once, so it gets at most one per
+    # point; a fake pool records its size and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    grid = dict(alpha_grid=[1.0, 2.0], delta_grid=[1.0, 2.0, 3.0], methods=["se"])
+    serial = cli.run_sweep(cli.ExperimentConfig(workers=1, **grid))
+    assert cli.run_sweep(cli.ExperimentConfig(workers=10 ** 6, **grid)) == serial
+    assert cli.run_sweep(cli.ExperimentConfig(workers=3, **grid)) == serial
+    assert sizes == [6, 3]
+    # a single point runs serially whatever workers asks for
+    cli.run_sweep(cli.ExperimentConfig(workers=10 ** 6, alpha_grid=[2.0],
+                                       delta_grid=[1.0], methods=["se"]))
+    assert sizes == [6, 3]
+
+
 def test_sweep_empty_grid_usage_error():
     with pytest.raises(cli.UsageError):
         cli.run_sweep(cli.ExperimentConfig(delta_grid=[], alpha_grid=[]))
@@ -151,18 +181,31 @@ def test_run_single_shares_instance():
 
 
 def test_spectral_records_carry_matvec_counts():
-    # `iters` is the solver's operator-application count, for PCA as for LAMP
-    cfg = cli.ExperimentConfig(alpha=2.0, delta=0.4, k=250,
-                               methods=["lamp", "pca"], seed=6)
-    m = cli.run_single(cfg)["metrics"]
-    gm, inst = cli._make_instance(cfg, cfg.seed)
-    pca = spectral.pca_estimate(inst, seed=cli.splitmix64(cfg.seed, 7), tol=cfg.eig_tol)
-    op = spectral.build_lamp(inst, gm, spectral.lamp_coefficients(cfg.act(),
-                                                                  cfg.latent_prior()))
-    lamp = spectral.leading_eigs(op, tol=cfg.eig_tol, seed=cli.splitmix64(cfg.seed, 6))
-    assert m["pca"]["iters"] == pca.iters > 0
-    assert m["pca"]["eigenvalues"] == list(pca.eigenvalues)
-    assert m["lamp"]["iters"] == lamp.iters > 0
+    # `iters` is the solver's operator-application count, for PCA as for LAMP.
+    # Requested together they run in lockstep (`spectral.lamp_and_pca`), whose
+    # results the record carries exactly; each agrees with its lone solve in
+    # steps, and to rounding in eigenvalues and overlap
+    for model in ("wigner", "wishart"):
+        cfg = cli.ExperimentConfig(model=model, alpha=2.0, beta=1.5, delta=0.4, k=250,
+                                   methods=["lamp", "pca"], seed=6)
+        m = cli.run_single(cfg)["metrics"]
+        gm, inst = cli._make_instance(cfg, cfg.seed)
+        coeffs = spectral.lamp_coefficients(cfg.act(), cfg.latent_prior(),
+                                            cfg.model_kind())
+        seeds = cli.splitmix64(cfg.seed, 6), cli.splitmix64(cfg.seed, 7)
+        pair = spectral.lamp_and_pca(inst, gm, coeffs, tol=cfg.eig_tol,
+                                     lamp_seed=seeds[0], pca_seed=seeds[1])
+        lone = (spectral.leading_eigs(spectral.build_lamp(inst, gm, coeffs),
+                                      truth=inst.v_star, tol=cfg.eig_tol, seed=seeds[0]),
+                spectral.pca_estimate(inst, seed=seeds[1], tol=cfg.eig_tol))
+        for name, sr, alone in zip(("lamp", "pca"), pair, lone):
+            assert m[name]["iters"] == sr.iters == alone.iters > 0
+            assert m[name]["eigenvalues"] == list(sr.eigenvalues)
+            assert m[name]["residuals"] == list(sr.residuals)
+            assert m[name]["overlap_sq"] == sr.overlap_sq
+            np.testing.assert_allclose(sr.eigenvalues, alone.eigenvalues, rtol=1e-12,
+                                       atol=0)
+            assert abs(sr.overlap_sq - alone.overlap_sq) <= 1e-10
 
 
 def test_pca_reads_eig_tol(tmp_path, capsys):
@@ -350,6 +393,15 @@ BAD_INPUT = {
                                         "--delta-grid", "1"],
     "compare_wishart_model": lambda t: ["compare-rmt-se", "--model", "wishart",
                                         "--alpha", "2", "--delta-grid", "1"],
+    # compare-rmt-se solves SE from the informative init at its own tolerance
+    "compare_se_tol_off_default": lambda t: ["compare-rmt-se", "--alpha", "2",
+                                             "--delta-grid", "1", "--se-tol", "1e-12"],
+    "compare_se_init_off_default": lambda t: _config_args(
+        t, "se_init=informative", ("compare-rmt-se", "--alpha", "2", "--delta-grid", "1")),
+    "sweep_workers_zero": lambda t: ["sweep", "--workers", "0", "--alpha", "2",
+                                     "--delta", "1"],
+    "sweep_workers_negative": lambda t: ["sweep", "--workers=-2", "--alpha", "2",
+                                         "--delta", "1"],
     # a 1 x 1 observation has no second eigenpair
     "cov_lamp_dimension_one": lambda t: _cov_lamp_args(
         t, spikes=np.ones((5, 1)), observation=_matrix_bytes(t, np.eye(1))),
@@ -636,3 +688,14 @@ def test_make_instance_spike_error_joins_worker(monkeypatch, model):
     with pytest.raises(ArithmeticError, match="spike failed"):
         cli._make_instance(cfg, 3)
     assert threading.active_count() == baseline
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize (about 20 MiB) is imported by the first SE root solve or
+    # RMT edge solve, not by importing the CLI: amp, lamp and pca never need it
+    code = ("import sys, spikedgen.cli\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "spikedgen.cli.main(['se', '--alpha', '2', '--delta', '2'])\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    lines = _run_python(code).splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True")

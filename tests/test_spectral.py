@@ -360,3 +360,71 @@ def test_lamp_not_worse_than_pca():
                                               seed=12 + s).overlap_sq)
                 pca_o.append(sp.pca_estimate(inst, seed=12 + s).overlap_sq)
             assert np.mean(lamp_o) >= np.mean(pca_o) - 0.02
+
+
+# ---------------------------------------------------------------------------
+# LAMP and PCA in lockstep
+# ---------------------------------------------------------------------------
+
+def _pair_instance(model, act, seed, p=300, k=150, delta=0.8):
+    """An instance of `model` and its LAMP coefficients (Wishart: beta = 1.5)."""
+    gm = make_model(p, k, act, GAUSS1, seed=3 * seed + 1)
+    z, v = generate_spike(gm, seed=3 * seed + 2)
+    if model == "wigner":
+        return (gm, sample_wigner(v, delta, seed=3 * seed + 3, z_star=z),
+                sp.lamp_coefficients(act, GAUSS1))
+    u = sample_u(GAUSS1, int(1.5 * p), seed=3 * seed + 4)
+    return (gm, sample_wishart(u, v, delta, seed=3 * seed + 3, prior_u=GAUSS1, z_star=z),
+            sp.lamp_coefficients(act, GAUSS1, Wishart(beta=1.5)))
+
+
+@pytest.mark.parametrize("model, act, seed, first", [
+    ("wigner", "linear", 101, "lamp"), ("wigner", "linear", 102, "both"),
+    ("wigner", "sign", 100, "pca"), ("wishart", "linear", 100, "pca"),
+    ("wishart", "sign", 103, "pca")])
+def test_lamp_and_pca_match_lone_solves(model, act, seed, first):
+    # the lockstep pair takes the lone solves' steps, whichever side stops
+    # first, and its results differ from theirs only by rounding
+    gm, inst, coeffs = _pair_instance(model, {"linear": LINEAR, "sign": SIGN}[act], seed)
+    lamp, pca = sp.lamp_and_pca(inst, gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2)
+    lone_lamp = sp.leading_eigs(sp.build_lamp(inst, gm, coeffs), truth=inst.v_star,
+                                tol=1e-8, seed=1)
+    lone_pca = sp.pca_estimate(inst, seed=2, tol=1e-8)
+    assert {"lamp": lamp.iters < pca.iters, "pca": pca.iters < lamp.iters,
+            "both": lamp.iters == pca.iters}[first]
+    for pair, lone in ((lamp, lone_lamp), (pca, lone_pca)):
+        assert pair.iters == lone.iters
+        np.testing.assert_allclose(pair.eigenvalues, lone.eigenvalues, rtol=1e-12, atol=0)
+        assert abs(pair.overlap_sq - lone.overlap_sq) <= 1e-10
+
+
+@pytest.mark.parametrize("model, seed, cap, side", [("wigner", 101, 72, "pca"),
+                                                    ("wishart", 100, 64, "lamp")])
+def test_lamp_and_pca_surface_no_convergence(model, seed, cap, side):
+    # the side that needs more than `cap` steps raises as its lone solve does,
+    # while the other would have converged within the cap
+    gm, inst, coeffs = _pair_instance(model, LINEAR, seed)
+    message = rf"did not converge in {cap} steps"
+    with pytest.raises(sp.LanczosNoConvergence, match=message):
+        sp.lamp_and_pca(inst, gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2,
+                        max_iter=cap)
+    op = sp.build_lamp(inst, gm, coeffs)
+    lone = {"lamp": lambda: sp.leading_eigs(op, tol=1e-8, max_iter=cap, seed=1),
+            "pca": lambda: sp._lanczos_top2(sp.gram(inst), inst.p, make_rng(2), 1e-8, cap)}
+    with pytest.raises(sp.LanczosNoConvergence, match=message):
+        lone[side]()
+    other = "pca" if side == "lamp" else "lamp"
+    lone[other]()
+
+
+@pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
+def test_lower_product_row_layout(p):
+    # x Y for an m x p block of rows, from the lower triangle alone
+    rng = make_rng(p + 1)
+    full = _sym(p, p)
+    garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
+    rows = rng.standard_normal((2, p))
+    want = rows @ full
+    for Y in (np.tril(full), garbage):
+        got = sp._lower_product(Y)(rows, rows=True)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
