@@ -42,6 +42,8 @@ RMT_EDGE_HEADER = ["delta", "lambda_max", "s_edge", "epsilon"]
 COMPARE_HEADER = ["delta", "q_v_se", "epsilon_rmt", "abs_diff"]
 
 ALL_METHODS = ("se", "amp", "lamp", "pca", "mi")
+# parse_grid's peak per 'lo:hi:n' point (40 by tracemalloc): linspace, numpy float, list slot
+GRID_POINT_BYTES = 48
 
 
 class UsageError(ValueError):
@@ -217,6 +219,7 @@ def parse_grid(spec: str) -> list:
     """'lo:hi:n' inclusive linear grid, or comma-separated values."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
+        _check_ram("grid", int(n) * GRID_POINT_BYTES, f"a grid of {n} points")
         return list(np.linspace(float(lo), float(hi), int(n)))
     return [float(v) for v in spec.split(",")]
 
@@ -225,14 +228,22 @@ def parse_grid(spec: str) -> list:
 # single runs
 # ---------------------------------------------------------------------------
 
+def _check_ram(key: str, need: int, what: str):
+    """Refuse, before anything is allocated, `what` if its `need` bytes exceed physical RAM."""
+    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > ram:
+        raise UsageError(f"{key}: {what} needs {need / 2 ** 30:.3g} GiB, more than the "
+                         f"{ram / 2 ** 30:.3g} GiB of physical memory")
+
+
 def _check_fits(cfg: ExperimentConfig, n: int, p: int, k: int) -> int:
     """Refuse a run whose resident arrays exceed physical RAM; returns their bytes.
 
     The model, from the shapes alone: W, p x k; Y (`priors.observation_bytes`:
     dense n x p for Wishart, the lower triangle for Wigner); the sampler's
-    scratch; and for each requested spectral method its largest Lanczos
-    basis, with the diagonal tiles of the lower-triangle product on a Wigner
-    Y.  All are float64.
+    scratch; for each requested spectral method its largest Lanczos basis;
+    and on a Wigner Y the diagonal tiles of the lower-triangle product, one
+    set that LAMP and PCA share.  All are float64.
     """
     wigner = cfg.model == "wigner"
     parts = {"W": 8 * p * k, "Y": observation_bytes(n, p, wigner),
@@ -246,15 +257,11 @@ def _check_fits(cfg: ExperimentConfig, n: int, p: int, k: int) -> int:
                                                     cfg.model_kind())
             dim = spectral_mod.lamp_factor_dim(coeffs, p, k)
         parts[f"{method} Lanczos basis"] = spectral_mod.lanczos_basis_bytes(dim)
-        if wigner:
-            parts[f"{method} product tiles"] = spectral_mod.lower_product_bytes(p)
+    if wigner and {"lamp", "pca"} & set(cfg.methods):
+        parts["product tiles"] = spectral_mod.lower_product_bytes(p)
     need = sum(parts.values())
-    ram = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > ram:
-        what = ", ".join(f"{name} {size / 2 ** 30:.3g}" for name, size in parts.items())
-        raise UsageError(f"p/k/beta: the run needs {need / 2 ** 30:.3g} GiB "
-                         f"(n = {n}, p = {p}, k = {k}; in GiB: {what}), more than the "
-                         f"{ram / 2 ** 30:.3g} GiB of physical memory")
+    what = ", ".join(f"{name} {size / 2 ** 30:.3g}" for name, size in parts.items())
+    _check_ram("p/k/beta", need, f"the run (n = {n}, p = {p}, k = {k}; in GiB: {what})")
     return need
 
 
@@ -570,6 +577,9 @@ def _cmd_rmt(args):
                          "for Wishart")
     if args.density_points < 1:
         raise UsageError("density_points: must be at least 1")
+    # 8 bytes a point for the grid, and bulk_density's arrays
+    _check_ram("density_points", args.density_points * (8 + rmt_mod.DENSITY_POINT_BYTES),
+               f"a density grid of {args.density_points} points")
     deltas = cfg.delta_grid or ([cfg.delta] if cfg.delta is not None else [])
     if not deltas:
         raise UsageError("delta/delta_grid: required")

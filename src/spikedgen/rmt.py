@@ -10,11 +10,15 @@ over the base law rho.  The support edge comes from the stationary point of
 the explicit inverse g_nu^{-1}(s) = -1/s + alpha Int rho(dt) t/(1+st); the
 S-hierarchy of weighted resolvent traces then gives the squared overlap
 eps(Delta) of the top LAMP eigenvector with the spike.
+
+Every integral against rho is closed-form in rho's Stieltjes transform, a quadratic
+root (Silverstein & Bai, J. Multivariate Anal. 1995); the Silverstein equation is a quartic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,8 +27,8 @@ import numpy as np
 from .priors import Wigner, Wishart, gauss_legendre
 
 EDGE_GUARD = 1e-10   # bracket guard; the edge integrand is singular at -1/z1
-_DENSITY_PREFIX = 50  # damped Silverstein steps before Newton takes over
-_NEWTON_MAX = 50      # Newton steps a density point may take before falling back
+ROOT_TOL = 1e-9      # largest relative Silverstein residual of an accepted root
+DENSITY_POINT_BYTES = 1024   # bulk_density's peak per grid point (968 by tracemalloc)
 
 
 def brentq(*args, **kwargs):
@@ -41,9 +45,17 @@ class NegativeSupportError(ValueError):
 # base laws
 # ---------------------------------------------------------------------------
 
+# Int f(t) rho(dt) at one s for f = t/(1+st), t^2/(1+st)^2, t^3/(1+st)^3, t/(1+st)^2
+Transforms = namedtuple("Transforms", "t tt ttt t_sq")
+
+
 @dataclass(frozen=True)
 class BaseLaw:
-    """Limiting law of the shifted data part T; continuous density + optional atom."""
+    """Limiting law of the shifted data part T; continuous density + optional atom.
+
+    G(z) = Int rho(dt)/(z - t) inverts as z = 1/G + R(G), R(h) = mean + var h/(1 - ratio h),
+    with var = radius^2/4 and mean = center - ratio.
+    """
 
     kind: str                 # "semicircle" or "mp"
     delta: float
@@ -52,6 +64,7 @@ class BaseLaw:
     radius: float
     atom_weight: float = 0.0
     atom_at: float = 0.0
+    ratio: float = 0.0        # of successive free cumulants: 1/(1 + Delta) for MP
 
     @property
     def t_min(self) -> float:
@@ -63,32 +76,55 @@ class BaseLaw:
         """Supremum of the support (the continuous part always ends highest)."""
         return self.center + self.radius
 
-    def density(self, t):
-        """Continuous part of the law (the atom, if any, is not included)."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "semicircle":
-            d = self.delta
-            arg = 4.0 - d * (t + 1.0 / d) ** 2
-            return np.where(arg > 0, math.sqrt(d) / (2 * math.pi) * np.sqrt(np.maximum(arg, 0)), 0.0)
-        # shifted MP: t = beta/(1+Delta) X - beta/Delta with X ~ MP(beta)
-        b, d = self.beta, self.delta
-        scale = (1.0 + d) / b
-        x = scale * t + (1.0 + d) / d
-        lam_p = (1.0 + 1.0 / math.sqrt(b)) ** 2
-        lam_m = (1.0 - 1.0 / math.sqrt(b)) ** 2
-        arg = (lam_p - x) * (x - lam_m)
-        dens = np.where((arg > 0) & (x > 0),
-                        b / (2 * math.pi) * np.sqrt(np.maximum(arg, 0)) / np.where(x > 0, x, 1.0),
-                        0.0)
-        return scale * dens
+    def _branch_root(self, z):
+        """sqrt((z - t_lo)(z - t_hi)) over the continuous support, ~ z at infinity."""
+        u = np.asarray(z, dtype=complex) - self.center
+        return np.sqrt(u - self.radius) * np.sqrt(u + self.radius)
+
+    def stieltjes(self, z):
+        """(G(z), G'(z)) off the support, the atom included: G = 2/(B + root) solves
+        A G^2 - B G + 1 = 0, A = var + ratio (z - mean), B = z - mean + ratio, root =
+        `_branch_root`; as (B + root)(B - root) = 4A, B + root is 4A/(B - root) at the atom.
+        """
+        b, root = self.ratio, self._branch_root(z)
+        big = z - self.center + 2 * b          # B
+        a = (self.radius / 2) ** 2 + b * (z - self.center + b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plus = np.where(abs(big + root) >= abs(big - root), big + root,
+                            4 * a / (big - root))
+        g = 2 / plus
+        return g, -g * (1 - b * g) / root
+
+    def r_transform(self, h):
+        """(R(h), R'(h), R''(h)); z = 1/h + R(h) inverts h = G(z)."""
+        b, var = self.ratio, (self.radius / 2) ** 2
+        q = 1 / (1 - b * h)
+        return self.center - b + var * h * q, var * q * q, 2 * b * var * q ** 3
+
+    def transforms(self, s: float) -> Transforms:
+        """The `Transforms` at real s < 0 with 1 + st > 0 on the support.
+
+        With h = G(-1/s), D = 1 + h R(h), N = 1 - h^2 R'(h) = -h^2/G': Int t/(1+st) = R D,
+        the rest its s-derivatives by dh/ds = -D^2/N.  No term cancels as s -> 0 (h ~ -s).
+        """
+        h, dh = self.stieltjes(-1.0 / s)
+        r0, r1, r2 = self.r_transform(h)
+        d, n = -h / s, -h * h / dh
+        dd = r0 + h * r1                                   # dD/dh
+        phi1 = r0 * r0 + r1 * (1 + 2 * h * r0)             # d(R D)/dh
+        phi2 = 4 * r0 * r1 + 2 * h * r1 * r1 + r2 * (1 + 2 * h * r0)
+        psi1 = ((phi2 * d * d + 2 * phi1 * d * dd) / n           # d(phi1 D^2/N)/dh
+                + phi1 * d * d * (2 * h * r1 + h * h * r2) / n ** 2)
+        return Transforms(*(float(v.real) for v in (r0 * d, phi1 * d * d / n,
+                                                    psi1 * d * d / (2 * n), dd * d * d / n)))
 
     def integrate(self, f, order: int = 256, rtol: float = 1e-12,
                   atol: float = 1e-11, max_order: int = 2048):
         """Int f(t) rho(dt) with the cos(theta) substitution removing edge roots.
 
-        f may return complex values and may broadcast extra leading axes
-        against the trailing node axis.  Orders double until two successive
-        values agree within tolerance.
+        The Gauss-Legendre reference of the tests; no solver calls it.  f may
+        return complex values and broadcast leading axes against the node
+        axis.  Orders double until two successive values agree.
         """
         prev = None
         while True:
@@ -138,8 +174,8 @@ def base_law(model: Wigner | Wishart, delta: float,
     center = scale * 0.5 * (lam_p + lam_m) - b / delta
     radius = scale * 0.5 * (lam_p - lam_m)
     atom = max(0.0, 1.0 - b)
-    return BaseLaw(kind="mp", delta=delta, beta=b, center=center,
-                   radius=radius, atom_weight=atom, atom_at=-b / delta)
+    return BaseLaw(kind="mp", delta=delta, beta=b, center=center, radius=radius,
+                   atom_weight=atom, atom_at=-b / delta, ratio=1.0 / (1.0 + delta))
 
 
 def delta_pos(beta: float) -> float:
@@ -157,19 +193,16 @@ def silverstein_g_inverse(base: BaseLaw, alpha: float, s: float) -> float:
         raise ValueError("s must be negative")
     if base.z1 > 0 and s <= -1.0 / base.z1:
         raise ValueError("1 + s t vanishes on the support")
-    val = base.integrate(lambda t: t / (1.0 + s * t))
-    return -1.0 / s + alpha * float(val)
+    return -1.0 / s + alpha * base.transforms(s).t
 
 
 def g_inverse_prime(base: BaseLaw, alpha: float, s: float) -> float:
-    val = base.integrate(lambda t: t * t / (1.0 + s * t) ** 2)
-    return 1.0 / s ** 2 - alpha * float(val)
+    return 1.0 / s ** 2 - alpha * base.transforms(s).tt
 
 
 def edge_equation_residual(base: BaseLaw, alpha: float, s: float) -> float:
     """alpha Int rho(dt) (st / (1+st))^2 - 1; zero at s_edge."""
-    val = base.integrate(lambda t: (s * t / (1.0 + s * t)) ** 2)
-    return alpha * float(val) - 1.0
+    return alpha * s * s * base.transforms(s).tt - 1.0
 
 
 @dataclass(frozen=True)
@@ -191,8 +224,7 @@ class EdgeResult:
         A = sqrt(2 / |g^{-1}''(s_edge)|) / pi.
         """
         s = self.s_edge
-        val = self.base.integrate(lambda t: t ** 3 / (1.0 + s * t) ** 3)
-        curvature = -2.0 / s ** 3 + 2.0 * self.alpha * float(val)
+        curvature = -2.0 / s ** 3 + 2.0 * self.alpha * self.base.transforms(s).ttt
         return math.sqrt(2.0 / abs(curvature)) / math.pi
 
 
@@ -223,121 +255,78 @@ def solve_s_edge(base: BaseLaw, alpha: float) -> EdgeResult:
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes transform outside the bulk, and the bulk density
+# the Silverstein equation as a quartic, and the bulk density
 # ---------------------------------------------------------------------------
 
+def _silverstein_roots(base: BaseLaw, alpha: float, z):
+    """(gc, accepted) for the 4 roots at each real z, arrays (z.size, 4).
+
+    With w = -1/g = 1/h + R(h), h = G(w), the equation is z = w (1 + alpha h R(h)), a
+    quartic in h.  gc = -k h/(1 + k h R), k = min(alpha, 1), is g less the atom's
+    (1 - alpha)/z pole.  A root is accepted when k + z gc + alpha h R = 0 (no spurious w = 0
+    at z = 0) to ROOT_TOL, and h is on G's principal sheet at w: its root 2/h - B is
+    nearer `_branch_root(w)` than the negative.
+    """
+    b, var, mean = base.ratio, (base.radius / 2) ** 2, base.center - base.ratio
+    z = np.asarray(z, dtype=float).reshape(-1, 1)
+    # (Q + hP)(Q + alpha hP) - z h Q^2, Q = 1 - b h, P = mean + (var - mean b) h
+    coef = (np.polynomial.polynomial.polymul([1.0, mean - b, var - mean * b],
+                                             [1.0, alpha * mean - b, alpha * (var - mean * b)])
+            - z * np.array([0.0, 1.0, -2 * b, b * b, 0.0]))
+    companion = np.zeros((z.size, 4, 4))
+    companion[:, 1:, :-1] = np.eye(3)
+    companion[:, :, -1] = -coef[:, :4] / coef[:, 4:]
+    h = np.linalg.eigvals(companion)
+    r = base.r_transform(h)[0]
+    k = min(alpha, 1.0)
+    d1, da = 1 + h * r, 1 + alpha * h * r          # h w and z / w: w from the larger
+    with np.errstate(divide="ignore", invalid="ignore"):   # only at z = 0 exactly
+        gc = -k * h / (1 + k * h * r)
+        resid = abs(k + z * gc + alpha * h * r) / (k + abs(z * gc) + alpha * abs(h * r))
+        w = np.where(abs(d1) >= abs(da), d1 / h, z / da)
+    root = 1 / h - b - var * h / (1 - b * h)
+    principal = base._branch_root(w.real + 1j * abs(w.imag))
+    on_sheet = abs(root - principal) <= abs(root + principal)
+    return gc, on_sheet & (resid <= ROOT_TOL)
+
+
 def g_nu_at(base: BaseLaw, alpha: float, lam: float) -> tuple[float, float]:
-    """(g_nu(lam), d/dlam g_nu(lam)) for lam above the bulk, by inverting g^{-1}."""
-    if base.z1 > 0:
-        edge = solve_s_edge(base, alpha)
-        if lam <= edge.z_edge:
-            raise ValueError(f"lambda = {lam} is not above the bulk edge {edge.z_edge}")
-        lo = edge.s_edge * (1.0 - 1e-13)
-    else:
-        if lam <= 0:
-            raise ValueError("need lambda > 0 when the bulk is on the negative axis")
-        lo = -1.0
-        while silverstein_g_inverse(base, alpha, lo) > lam:
-            lo *= 2.0
-            if lo < -1e14:
-                raise RuntimeError("bracket expansion failed")
-    hi = -1e-14
-    f = lambda s: silverstein_g_inverse(base, alpha, s) - lam
-    s = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=300)
+    """(g_nu(lam), d/dlam g_nu(lam)) for lam above the bulk: the largest real negative
+    root (others lie below s_edge), polished by a Newton step on g^{-1}(s) = lam."""
+    # a bulk on the negative axis is handled above 0 only
+    bound = solve_s_edge(base, alpha).z_edge if base.z1 > 0 else 0.0
+    if lam <= bound:
+        raise ValueError(f"lambda = {lam} is not above the bulk edge {bound}")
+    gc, ok = _silverstein_roots(base, alpha, lam)
+    g = gc - max(0.0, 1.0 - alpha) / lam
+    real = g[ok & (g.imag == 0) & (g.real < 0)].real
+    if real.size == 0:
+        raise RuntimeError(f"no real Silverstein root at lambda = {lam}")
+    s = real.max()
+    s -= (silverstein_g_inverse(base, alpha, s) - lam) / g_inverse_prime(base, alpha, s)
     return float(s), 1.0 / g_inverse_prime(base, alpha, s)
 
 
 @dataclass
 class BulkDensity:
     x: np.ndarray
-    nu: np.ndarray            # density of the k x k law (Silverstein measure)
+    nu: np.ndarray            # continuous density of the k x k law (Silverstein measure)
     mu: np.ndarray            # continuous density of the p x p LAMP law
     mu_zero_atom: float       # extra mass at 0 when alpha > 1
-    converged: np.ndarray
-    iterations: np.ndarray
+    converged: np.ndarray     # the reported root was accepted
 
 
-def bulk_density(base: BaseLaw, alpha: float, x_grid, epsilon: float = 1e-6,
-                 damping: float = 0.5, max_iter: int = 10000,
-                 tol: float = 1e-11, order: int = 256) -> BulkDensity:
-    """Density via Im g_nu(x + i eps)/pi, solving the Silverstein equation.
+def bulk_density(base: BaseLaw, alpha: float, x_grid) -> BulkDensity:
+    """Continuous density Im g_nu(x + i0)/pi from the accepted root of largest Im gc.
 
-    From g = i, at most _DENSITY_PREFIX damped steps
-    g <- (1-d) (-1/(z - alpha I(g))) + d g, each point stopping once it moves
-    less than tol.  Points still moving then take Newton steps on
-    F(g) = g (z - alpha I(g)) + 1, with I'(g) from the same nodes; the damped
-    map crawls next to the spectral edge, Newton does not.  A point whose
-    Newton iterate leaves the upper half-plane (the Stieltjes branch), or
-    that Newton does not settle, resumes damping from its prefix state for
-    the rest of max_iter.  Convergence is judged by the equation residual and
-    unconverged points are flagged; `iterations` counts damped and Newton
-    steps.
+    In the bulk one root has Im g > 0; outside, every accepted root is real.
     """
     x = np.asarray(x_grid, dtype=float)
-    z = x.ravel() + 1j * epsilon     # points are solved flat, reshaped at the end
-    g = np.full(x.size, 1j, dtype=complex)
-    iters = np.zeros(x.size, dtype=int)
-    t, weight = base.nodes(order)
-
-    def i1(gv):
-        out = np.sum(t * weight / (1.0 + np.multiply.outer(gv, t)), axis=-1)
-        if base.atom_weight > 0:
-            out = out + base.atom_weight * base.atom_at / (1.0 + gv * base.atom_at)
-        return out
-
-    def i1_prime(gv):
-        out = -np.sum(t * t * weight / (1.0 + np.multiply.outer(gv, t)) ** 2, axis=-1)
-        if base.atom_weight > 0:
-            out = out - base.atom_weight * base.atom_at ** 2 / (1.0 + gv * base.atom_at) ** 2
-        return out
-
-    def damp(active, steps):
-        """Damped steps on g[active]; returns the points still moving."""
-        for _ in range(steps):
-            if active.size == 0:
-                break
-            ga = g[active]
-            gnew = -1.0 / (z[active] - alpha * i1(ga))
-            gnew = (1.0 - damping) * gnew + damping * ga
-            g[active] = gnew
-            iters[active] += 1
-            active = active[np.abs(gnew - ga) >= tol]
-        return active
-
-    prefix = min(_DENSITY_PREFIX, max_iter)
-    moving = damp(np.arange(x.size), prefix)
-    gn = g[moving]
-    settled = np.zeros(moving.size, dtype=bool)
-    live = np.arange(moving.size)
-    for _ in range(_NEWTON_MAX):
-        if live.size == 0:
-            break
-        gl, zl = gn[live], z[moving[live]]
-        ig = i1(gl)
-        step = (gl * (zl - alpha * ig) + 1.0) / (zl - alpha * ig - alpha * gl * i1_prime(gl))
-        new = gl - step
-        iters[moving[live]] += 1
-        stay = new.imag >= 0          # False for nan too
-        gn[live[stay]] = new[stay]
-        settled[live[stay]] = np.abs(step[stay]) < tol
-        live = live[stay & ~settled[live]]
-    g[moving[settled]] = gn[settled]
-    damp(moving[~settled], max_iter - prefix)
-    z, g, iters = z.reshape(x.shape), g.reshape(x.shape), iters.reshape(x.shape)
-    # a small damped step does not imply a solution (the map crawls near
-    # spectral atoms), so convergence is judged by the equation residual
-    residual = np.abs(1.0 + g * (z - alpha * i1(g)))
-    converged = residual < 1e-7 * (1.0 + np.abs(g) ** 2)
-    nu = np.maximum(g.imag / math.pi, 0.0)
-    if alpha < 1:
-        # the k x k law carries a (1 - alpha) atom at zero; remove its
-        # eps-Lorentzian so nu reports the continuous part
-        nu = np.maximum(nu - (1 - alpha) * epsilon / (math.pi * (x * x + epsilon ** 2)),
-                        0.0)
-    mu = nu / alpha
-    atom = max(0.0, 1.0 - 1.0 / alpha)
-    return BulkDensity(x=x, nu=nu, mu=mu, mu_zero_atom=atom,
-                       converged=converged, iterations=iters)
+    gc, ok = _silverstein_roots(base, alpha, x)
+    pick = np.argmax(np.where(ok, gc.imag, -np.inf), axis=1)[:, None]
+    nu = np.maximum(np.take_along_axis(gc.imag, pick, 1) / math.pi, 0.0).reshape(x.shape)
+    return BulkDensity(x=x, nu=nu, mu=nu / alpha, mu_zero_atom=max(0.0, 1.0 - 1.0 / alpha),
+                       converged=np.take_along_axis(ok, pick, 1).reshape(x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +358,8 @@ def s_hierarchy(base: BaseLaw, alpha: float, lam: float) -> SHierarchy:
               - (1 + 5 * alpha + 3 * alpha ** 2) * u
               + (2 + 3 * alpha) * u ** 2 - u ** 3)
     ds1 = dg * (alpha - u) - g * (g + lam * dg)
-    i_tt = float(base.integrate(lambda t: t * t / (1.0 + g * t) ** 2))
-    i_t2 = float(base.integrate(lambda t: t / (1.0 + g * t) ** 2))
-    jint = ds1 * i_tt - g * i_t2
+    tr = base.transforms(g)
+    jint = ds1 * tr.tt - g * tr.t_sq
     s11 = g * s2 - u * ds1 + alpha * g * (g + s1) * jint
     s12 = (g * s3 - u * (s11 + (1 + alpha) * ds1)
            + alpha * g * ((1 + alpha) * g + s1 + s2) * jint)

@@ -7,14 +7,15 @@ import mmap
 import re
 import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spikedgen import amp, cli, priors, serialize as ser, spectral
-from spikedgen.priors import (LINEAR, gauss_prior, generate_spike, make_model, make_rng,
-                              sample_u, sample_wigner, sample_wishart)
+from spikedgen import amp, cli, priors, rmt, serialize as ser, spectral
+from spikedgen.priors import (LINEAR, Wigner, gauss_prior, generate_spike, make_model,
+                              make_rng, sample_u, sample_wigner, sample_wishart)
 from oracles import full_symmetric
 from test_priors import _run_python
 
@@ -427,6 +428,11 @@ BAD_INPUT = {
     "cov_lamp_negative_tol": lambda t: [*_cov_lamp_args(t), "--tol=-1e-8"],
     "cov_lamp_nan_tol": lambda t: [*_cov_lamp_args(t), "--tol", "nan"],
     "grid_count_not_an_int": lambda t: ["rmt", "--alpha", "2", "--delta-grid", "1:2:x"],
+    # more points than physical memory holds, refused before any is allocated
+    "grid_points_huge": lambda t: ["rmt", "--alpha", "2", "--delta-grid", f"1:2:{10 ** 18}"],
+    "rmt_density_points_huge": lambda t: ["rmt", "--alpha", "2", "--delta", "1",
+                                          "--density-points", str(10 ** 15),
+                                          "--density-out", str(t / "d.csv")],
     "se_rho_z_zero": lambda t: ["se", "--rho-z", "0", "--alpha", "2", "--delta", "1"],
     "se_negative_tol": lambda t: ["se", "--alpha", "2", "--delta", "1", "--se-tol", "-1"],
     "compare_negative_delta_grid": lambda t: ["compare-rmt-se", "--alpha", "2",
@@ -507,8 +513,9 @@ def test_check_fits_models_resident_bytes(monkeypatch, model, n):
     # reaches about one page into the unwritten upper one), the samplers'
     # fixed-row scratch (Wigner: three 128-row buffers, a 512 x 512 spike
     # tile and its mask; Wishart: a 32-row spike tile), and per spectral method
-    # its largest Lanczos basis and, on a Wigner Y, the product's 1024-row
-    # diagonal tiles with the one they are built through
+    # its largest Lanczos basis, and on a Wigner Y the product's 1024-row
+    # diagonal tiles with the one they are built through, one set that LAMP
+    # and PCA share
     p, k = 3000, 1500
     if model == "wigner":
         base = (8 * p * k + 4 * p * (p + 1) + p * mmap.PAGESIZE
@@ -519,7 +526,7 @@ def test_check_fits_models_resident_bytes(monkeypatch, model, n):
     cases = [("linear", ["amp"], base),
              # linear: a = b, so the LAMP factor has k columns; PCA's has p
              ("linear", ["amp", "lamp", "pca"],
-              base + _basis(k) + _basis(p) + 2 * tiles),
+              base + _basis(k) + _basis(p) + tiles),
              # sign: a > b, so the LAMP factor has p + k columns
              ("sign", ["lamp"], base + _basis(p + k) + tiles)]
     for activation, methods, need in cases:
@@ -533,6 +540,42 @@ def test_check_fits_models_resident_bytes(monkeypatch, model, n):
             else:
                 with pytest.raises(cli.UsageError, match="physical memory"):
                     cli._check_fits(cfg, n, p, k)
+
+
+def test_point_bounds_at_the_boundary(monkeypatch, tmp_path, capsys):
+    # grid specs and --density-points against physical memory faked at the
+    # boundary, as in test_check_fits_models_resident_bytes
+    def fake_ram(ram):
+        pages = {"SC_PHYS_PAGES": ram, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+
+    fake_ram(10 * cli.GRID_POINT_BYTES)
+    assert len(cli.parse_grid("0:1:10")) == 10
+    with pytest.raises(cli.UsageError, match="physical memory"):
+        cli.parse_grid("0:1:11")
+    out = str(tmp_path / "d.csv")
+    argv = ["rmt", "--alpha", "2", "--delta", "1", "--density-points", "10",
+            "--density-out", out]
+    fake_ram(10 * (8 + rmt.DENSITY_POINT_BYTES))
+    assert run_main(argv) == 0
+    fake_ram(10 * (8 + rmt.DENSITY_POINT_BYTES) - 1)
+    assert run_main(argv) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_point_bytes_bound_the_allocations():
+    # the per-point bytes of both bounds against tracemalloc's peak
+    n = 20000
+    for run, per_point in ((lambda: cli.parse_grid(f"0:1:{n}"), cli.GRID_POINT_BYTES),
+                           (lambda: rmt.bulk_density(rmt.base_law(Wigner(), 1.0), 2.0,
+                                                     np.linspace(-5, 2, n)),
+                            rmt.DENSITY_POINT_BYTES)):
+        run()
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= n * per_point
 
 
 RUN_PEAK = """
@@ -561,7 +604,8 @@ print(peak_rss() - before, need)
 
 
 @pytest.mark.parametrize("model, p, methods", [("wishart", 1500, "amp,lamp,pca"),
-                                               ("wigner", 3000, "amp")])
+                                               ("wigner", 3000, "amp"),
+                                               ("wigner", 3000, "amp,lamp,pca")])
 def test_run_single_peak_within_resident_model(model, p, methods):
     # in a fresh interpreter, a run grows VmHWM by no more than `_check_fits`
     # predicts from (n, p, k) and the methods, with 16 MiB for the rest
