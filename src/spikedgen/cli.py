@@ -44,6 +44,9 @@ COMPARE_HEADER = ["delta", "q_v_se", "epsilon_rmt", "abs_diff"]
 ALL_METHODS = ("se", "amp", "lamp", "pca", "mi")
 # parse_grid's peak per 'lo:hi:n' point (40 by tracemalloc): linspace, numpy float, list slot
 GRID_POINT_BYTES = 48
+# run_sweep's per (alpha, delta) point: its task tuple and list slot and its
+# up to two rows (73 and 466 by tracemalloc)
+SWEEP_POINT_BYTES = 640
 
 
 class UsageError(ValueError):
@@ -292,30 +295,17 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
 
 
 def _spectral_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
-    """The requested spectral methods' results, by name.
-
-    Requested together, LAMP and PCA run in lockstep (`spectral.lamp_and_pca`),
-    one product with Y per step for both; alone, each runs its own solve.  Either
-    way LAMP's rng is splitmix64(seed, 6) and PCA's splitmix64(seed, 7).
-    """
-    wanted = {"lamp", "pca"} & set(cfg.methods)
+    """The requested spectral methods' results, by name, from one lockstep solve
+    (`spectral.solve`), LAMP's rng splitmix64(seed, 6) and PCA's splitmix64(seed, 7)."""
     coeffs = None
-    if "lamp" in wanted:
+    if "lamp" in cfg.methods:
         coeffs = spectral_mod.lamp_coefficients(cfg.act(), cfg.latent_prior(),
                                                 cfg.model_kind())
         _check_eig_dim("lamp", spectral_mod.lamp_factor_dim(coeffs, gm.p, gm.k))
-    if "pca" in wanted:
+    if "pca" in cfg.methods:
         _check_eig_dim("pca", inst.p)
-    lamp_seed, pca_seed = splitmix64(seed, 6), splitmix64(seed, 7)
-    if wanted == {"lamp", "pca"}:
-        lamp, pca = spectral_mod.lamp_and_pca(inst, gm, coeffs, tol=cfg.eig_tol,
-                                              lamp_seed=lamp_seed, pca_seed=pca_seed)
-        return {"lamp": lamp, "pca": pca}
-    if "lamp" in wanted:
-        return {"lamp": spectral_mod.leading_eigs(spectral_mod.build_lamp(inst, gm, coeffs),
-                                                  truth=inst.v_star, tol=cfg.eig_tol,
-                                                  seed=lamp_seed)}
-    return {"pca": spectral_mod.pca_estimate(inst, seed=pca_seed, tol=cfg.eig_tol)}
+    return spectral_mod.solve(inst, cfg.methods, gm, coeffs, tol=cfg.eig_tol,
+                              lamp_seed=splitmix64(seed, 6), pca_seed=splitmix64(seed, 7))
 
 
 def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
@@ -414,10 +404,16 @@ def run_sweep(cfg: ExperimentConfig, out_path=None) -> list:
     deltas = cfg.delta_grid or ([cfg.delta] if cfg.delta is not None else [])
     if not alphas or not deltas:
         raise UsageError("delta_grid: sweep needs non-empty grids")
+    size = len(alphas) * len(deltas)
+    _check_ram("alpha_grid/delta_grid", size * SWEEP_POINT_BYTES, f"a sweep of {size} points")
+    cores = len(os.sched_getaffinity(0))
+    if cfg.workers > cores:
+        print(f"# clamping workers to {cores}, the cores this process may run on",
+              file=sys.stderr)
     cfg_dict = asdict(cfg)
     points = [(cfg_dict, a, d) for a in alphas for d in deltas]
     # the pool starts all its workers at once, so it is no larger than the grid
-    workers = min(cfg.workers, len(points))
+    workers = min(cfg.workers, cores, len(points))
     rows = []
     with contextlib.ExitStack() as stack:
         write = stack.enter_context(_csv_rows(out_path, SWEEP_HEADER)) if out_path else None
@@ -601,11 +597,13 @@ def _cmd_rmt(args):
         edge_rows.append([d, lam, s_edge, eps])
     _write_csv(cfg.out, RMT_EDGE_HEADER, edge_rows, "{:.12g}".format)
     if args.density_out:
-        # the first delta's law, up to 0.3 past its edge when it has one
+        # the first delta's law, from 0.3 below its lower edge to 0.3 past its
+        # upper edge when it has one
         base = rmt_mod.base_law(model, deltas[0], cfg.beta)
         lam = edge_rows[0][1]
         hi = 0.3 if math.isnan(lam) else lam + 0.3
-        grid = np.linspace(base.t_min * cfg.alpha - 1.0, hi, args.density_points)
+        grid = np.linspace(rmt_mod.lower_edge(base, cfg.alpha) - 0.3, hi,
+                           args.density_points)
         bd = rmt_mod.bulk_density(base, cfg.alpha, grid)
         _write_csv(args.density_out, RMT_DENSITY_HEADER, zip(bd.x, bd.nu))
     return 0

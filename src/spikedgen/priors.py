@@ -154,10 +154,6 @@ SIGN = Activation("sign")
 RELU = Activation("relu")
 
 
-def activation(name: str) -> Activation:
-    return Activation(name)
-
-
 @lru_cache(maxsize=64)
 def rho_v(act: Activation, latent: SeparablePrior) -> float:
     """Spike second moment E[phi(x)^2], x ~ N(0, rho_z).

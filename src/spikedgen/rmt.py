@@ -102,7 +102,7 @@ class BaseLaw:
         return self.center - b + var * h * q, var * q * q, 2 * b * var * q ** 3
 
     def transforms(self, s: float) -> Transforms:
-        """The `Transforms` at real s < 0 with 1 + st > 0 on the support.
+        """The `Transforms` at real s != 0 with 1 + st > 0 on the support.
 
         With h = G(-1/s), D = 1 + h R(h), N = 1 - h^2 R'(h) = -h^2/G': Int t/(1+st) = R D,
         the rest its s-derivatives by dh/ds = -D^2/N.  No term cancels as s -> 0 (h ~ -s).
@@ -238,20 +238,34 @@ def solve_s_edge(base: BaseLaw, alpha: float) -> EdgeResult:
     if base.z1 <= 0:
         raise NegativeSupportError(
             f"support supremum z1 = {base.z1:.6g} <= 0; bulk is on the negative axis")
-    lo = -1.0 / base.z1 * (1.0 - EDGE_GUARD)
-    hi = -EDGE_GUARD
-    f = lambda s: edge_equation_residual(base, alpha, s)
-    try:
-        s_edge = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    except ValueError:
-        # no sign change: alpha so large that the root lies inside the guard
-        raise RuntimeError(f"edge equation has no root in [{lo:.3g}, {hi:.3g}] "
-                           f"at alpha = {alpha:.6g}") from None
+    s_edge = _edge_root(base, alpha, -1.0 / base.z1 * (1.0 - EDGE_GUARD), -EDGE_GUARD)
     z_edge = silverstein_g_inverse(base, alpha, s_edge)
     lam = z_edge if alpha <= 1 else max(0.0, z_edge)
     return EdgeResult(s_edge=float(s_edge), lambda_max=float(lam),
                       z_edge=float(z_edge), alpha=alpha, base=base,
-                      residual=float(f(s_edge)))
+                      residual=float(edge_equation_residual(base, alpha, s_edge)))
+
+
+def _edge_root(base: BaseLaw, alpha: float, lo: float, hi: float) -> float:
+    try:
+        return brentq(lambda s: edge_equation_residual(base, alpha, s), lo, hi,
+                      xtol=1e-15, rtol=8.9e-16, maxiter=300)
+    except ValueError:
+        # no sign change: alpha so large (small, for the lower edge) that the
+        # root lies inside the guard
+        raise RuntimeError(f"edge equation has no root in [{lo:.3g}, {hi:.3g}] "
+                           f"at alpha = {alpha:.6g}") from None
+
+
+def lower_edge(base: BaseLaw, alpha: float) -> float:
+    """Lowest point of the bulk: g^{-1} at the root of the edge equation in (0, -1/t_min).
+
+    Every base law has t_min < 0.  There the residual rises strictly from -1
+    at 0+ to +inf at -1/t_min, where 1 + st vanishes at the bottom of the
+    support, so bisection cannot miss.
+    """
+    s = _edge_root(base, alpha, EDGE_GUARD, -1.0 / base.t_min * (1.0 - EDGE_GUARD))
+    return float(-1.0 / s + alpha * base.transforms(s).t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,22 @@ or G = Y^T Y / p with scale 1/(a + Delta/d) and shift d beta (Wishart).  One
 builder, `build_lamp`, serves both models.  The paper's third preconditioner
 term is proportional to the third moment of P_z, which vanishes for both
 shipped (symmetric) priors, and a >= b >= 0 holds by Cauchy-Schwarz, so the
-preconditioner is PSD: K = F F^T.
+preconditioner is PSD: K = F F^T, and `LampOperator` holds it only as F.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
-whose eigenvectors map back through F.  A Wigner Y is read through its
-lower triangle alone (`_lower_product`), the part `priors.sample_wigner`
-stores.  One Lanczos recurrence, `_lanczos_steps`, finds the top two
-eigenpairs for LAMP, covariance-LAMP and PCA: it never restarts, keeps its
-whole basis orthonormal, and stops by ARPACK's rule.  It is driven one step
-at a time: alone (`_lanczos_top2`), or, for LAMP and PCA on one instance, in
-lockstep (`lamp_and_pca`).  There LAMP's F y and PCA's q go through the data
-as one 2 x p block of rows, x G, so both share each read of Y.  Row
-layout is what makes that pay: on a 6000 x 4000 Wishart Y and 2 cores,
-(x Y^T) Y takes about 27 ms for two rows, against 38 ms for two vector
-products and 56 ms for the same two vectors as p x 2 columns, Y^T (Y x).
+whose eigenvectors map back through F.
+
+G has one layout: it takes an m x p block of rows x and returns x G, and a
+Wigner Y is read through its lower triangle alone (`_lower_product`), the
+part `priors.sample_wigner` stores.  One Lanczos recurrence,
+`_lanczos_steps`, finds the top two eigenpairs for LAMP, covariance-LAMP
+and PCA: it never restarts, keeps its whole basis orthonormal, and stops by
+ARPACK's rule.  One driver, `_lockstep`, runs any number of them on one G a
+step at a time, stacking the rows of those still running into one product,
+so LAMP and PCA on one instance share each read of Y, and a lone solve is
+the same loop with one row.  Rows cost no more than vectors: on a
+6000 x 4000 Wishart Y and 2 cores, (x Y^T) Y for one row takes as long as
+Y^T (Y x) (13-16 ms), with a bit-identical result, and 20-27 ms for two
+rows, against 24-38 ms for two vector products.
 Inputs without that structure are rejected at construction: `LampCoeffs`
 unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
 """
@@ -74,57 +77,46 @@ def lamp_factor_dim(coeffs: LampCoeffs, p: int, k: int) -> int:
 
 @dataclass
 class LampOperator:
-    """Matrix-free Gamma = precond . M / Delta, M = scale * data - shift * I."""
+    """Matrix-free Gamma = F F^T M / Delta, M = scale * G - shift * I.
+
+    The preconditioner K = F F^T is held only as its factor F = [c I, w W]:
+    c = sqrt(a - b) and w = sqrt(b/k) for generative LAMP, where the
+    identity block drops out when a = b (c = 0), and for covariance-LAMP
+    c = 0, w = 1 and W a square root of Sigma_hat.  Every map takes and gives
+    blocks of rows, as the data operator G of `gram` does; F and F^T also
+    take one vector.
+    """
 
     p: int
-    k: int
     delta: float
-    coeffs: LampCoeffs
-    W: np.ndarray | None          # None for covariance-LAMP
-    data: callable                # the data operator G of `gram`
+    W: np.ndarray        # F's last block, p x r
+    w: float             # its weight
+    c: float             # weight of F's identity block; 0 means no such block
+    data: callable       # the data operator G of `gram`
     scale: float
     shift: float
-    sigma: np.ndarray | None = None         # covariance preconditioner (cov-LAMP)
-    sigma_factor: np.ndarray | None = None  # F with F F^T = sigma
-
-    def data_apply(self, x: np.ndarray) -> np.ndarray:
-        """M x, the symmetric data part."""
-        return self.scale * self.data(x) - self.shift * x
-
-    # -- preconditioner K = F F^T -------------------------------------------
-    def precond_apply(self, x: np.ndarray) -> np.ndarray:
-        if self.sigma is not None:
-            return self.sigma @ x
-        a, b = self.coeffs.a, self.coeffs.b
-        return (a - b) * x + b * (self.W @ (self.W.T @ x)) / self.k
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.precond_apply(self.data_apply(x)) / self.delta
 
     def factor_dim(self) -> int:
-        if self.sigma is not None:
-            return self.p
-        return lamp_factor_dim(self.coeffs, self.p, self.k)
+        return self.W.shape[1] + (self.p if self.c else 0)
 
     def factor_apply(self, y: np.ndarray) -> np.ndarray:
-        """F y with K = F F^T."""
-        if self.sigma is not None:
-            return self.sigma_factor @ y
-        a, b = self.coeffs.a, self.coeffs.b
-        if a == b:
-            return math.sqrt(b / self.k) * (self.W @ y)
-        return (math.sqrt(a - b) * y[:self.p]
-                + math.sqrt(b / self.k) * (self.W @ y[self.p:]))
+        """Rows of F y, for rows y of length `factor_dim()`."""
+        if not self.c:
+            return self.w * (y @ self.W.T)
+        return self.c * y[..., :self.p] + self.w * (y[..., self.p:] @ self.W.T)
 
     def factor_rapply(self, x: np.ndarray) -> np.ndarray:
-        """F^T x."""
-        if self.sigma is not None:
-            return self.sigma_factor.T @ x
-        a, b = self.coeffs.a, self.coeffs.b
-        if a == b:
-            return math.sqrt(b / self.k) * (self.W.T @ x)
-        return np.concatenate([math.sqrt(a - b) * x,
-                               math.sqrt(b / self.k) * (self.W.T @ x)])
+        """Rows of F^T x."""
+        fx = self.w * (x @ self.W)
+        return np.concatenate([self.c * x, fx], axis=-1) if self.c else fx
+
+    def reduce(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
+        """F^T M x / Delta from the rows x and x G."""
+        return self.factor_rapply(self.scale * gx - self.shift * x) / self.delta
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Rows of Gamma x."""
+        return self.factor_apply(self.reduce(x, self.data(x)))
 
 
 # rows per panel of `_lower_product`: on 2 cores at p = 4000, panels of 1024
@@ -134,19 +126,15 @@ _PANEL = 1024
 
 
 def _lower_product(Y: np.ndarray):
-    """x -> Y x for a symmetric Y, reading only its lower triangle L = tril(Y).
+    """x -> x Y for a symmetric Y and an m x p block of rows x, from L = tril(Y).
 
-    y = L x + L^T x - diag(Y) x, by row panels of `_PANEL` rows: the part of
-    a panel left of its diagonal tile is read twice per product, for its
-    rows of L x and its columns of L^T x, and each diagonal tile is made
-    symmetric from its lower triangle once, when the product is built
-    (`lower_product_bytes`).  x may be a vector or a p x m matrix of columns.
-    With rows=True, x is an m x p block of rows and the product is x Y, the
-    same panels worked in row layout: there each panel meets all m rows in
-    one matrix product, so two rows cost well under two vectors (the
-    lockstep LAMP and PCA solve of `lamp_and_pca`): at p = 8000 on 2 cores,
-    39 ms against 56 ms for two vectors and 81 ms for the same two as a
-    p x 2 matrix of columns.  The products are
+    x Y = x L + x L^T - x diag(Y), by row panels of `_PANEL` rows: the part of
+    a panel left of its diagonal tile is read twice per product, and each
+    diagonal tile is made symmetric from its lower triangle once, when the
+    product is built (`lower_product_bytes`).  Each panel meets all m rows
+    in one matrix product, so two rows cost well under two vectors: at
+    p = 8000 on 2 cores, 39 ms against 56 ms.  One row costs what one vector
+    product does (3.5 ms against 3.4 ms at p = 4000).  The products are
     numpy's, like every other product of the Lanczos loop, so the loop stays
     on one BLAS library.
     """
@@ -158,15 +146,11 @@ def _lower_product(Y: np.ndarray):
         tile += np.tril(tile, -1).T
         panels.append((band, Y[band, :start], tile))
 
-    def product(x, rows=False):
-        y = np.empty(np.shape(x))
+    def product(x):
+        y = np.empty(x.shape)
         for band, left, tile in panels:
-            if rows:
-                y[:, band] = x[:, :band.start] @ left.T + x[:, band] @ tile
-                y[:, :band.start] += x[:, band] @ left
-            else:
-                y[band] = left @ x[:band.start] + tile @ x[band]
-                y[:band.start] += left.T @ x[band]
+            y[:, band] = x[:, :band.start] @ left.T + x[:, band] @ tile
+            y[:, :band.start] += x[:, band] @ left
         return y
 
     return product
@@ -184,25 +168,21 @@ def lower_product_bytes(p: int) -> int:
 
 def _wigner_gram(Y: np.ndarray):
     sp, product = math.sqrt(Y.shape[0]), _lower_product(Y)
-    return lambda x, rows=False: product(x, rows) / sp
+    return lambda x: product(x) / sp
 
 
 def gram(inst: SpikedInstance):
-    """The data operator G: x -> Y x / sqrt(p) (Wigner) or Y^T (Y x) / p (Wishart).
+    """The data operator G on an m x p block of rows x: x -> x G.
 
-    PCA takes its leading eigenpairs; `build_lamp` scales and shifts it.  The
-    Wigner operator reads only Y's lower triangle (`_lower_product`).  With
-    rows=True it takes an m x p block of rows x and returns x G, for Wishart
-    as (x Y^T) Y / p: all m rows share each read of Y.
+    G = Y/sqrt(p) (Wigner, read from Y's lower triangle alone by
+    `_lower_product`) or Y^T Y / p (Wishart, as (x Y^T) Y / p).  All m rows
+    share each read of Y.  PCA takes G's leading eigenpairs; `build_lamp`
+    scales and shifts it.
     """
     if isinstance(inst.model, Wigner):
         return _wigner_gram(inst.Y)
     Y, p = inst.Y, inst.p
-
-    def data(x, rows=False):
-        return (x @ Y.T) @ Y / p if rows else Y.T @ (Y @ x) / p
-
-    return data
+    return lambda x: (x @ Y.T) @ Y / p
 
 
 def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
@@ -210,13 +190,14 @@ def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
     """LAMP on M = scale * gram - shift * I (scale 1 and shift a for Wigner)."""
     if inst.Y.shape[1] != gm.p:
         raise ValueError("instance/model dimension mismatch")
-    scale, shift = 1.0, coeffs.a
+    a, b = coeffs.a, coeffs.b
+    scale, shift = 1.0, a
     if isinstance(inst.model, Wishart):
         if coeffs.d is None:
             raise ValueError("Wishart LAMP needs the d coefficient (rho_u)")
-        scale, shift = 1.0 / (coeffs.a + inst.delta / coeffs.d), coeffs.d * inst.beta
-    return LampOperator(p=gm.p, k=gm.k, delta=inst.delta, coeffs=coeffs,
-                        W=gm.W, data=gram(inst), scale=scale, shift=shift)
+        scale, shift = 1.0 / (a + inst.delta / coeffs.d), coeffs.d * inst.beta
+    return LampOperator(p=gm.p, delta=inst.delta, W=gm.W, w=math.sqrt(b / gm.k),
+                        c=math.sqrt(a - b), data=gram(inst), scale=scale, shift=shift)
 
 
 def empirical_covariance(spikes: np.ndarray) -> np.ndarray:
@@ -239,10 +220,8 @@ def build_cov_lamp(Y: np.ndarray, sigma_hat: np.ndarray, delta: float) -> LampOp
     vals, vecs = np.linalg.eigh(sigma_hat)
     if vals.min() < -1e-10 * max(1.0, vals.max()):
         raise ValueError("Sigma_hat must be positive semidefinite")
-    return LampOperator(p=p, k=p, delta=delta, coeffs=LampCoeffs(a=1.0, b=1.0),
-                        W=None, data=_wigner_gram(Y), scale=1.0, shift=1.0,
-                        sigma=sigma_hat,
-                        sigma_factor=vecs * np.sqrt(np.clip(vals, 0.0, None)))
+    return LampOperator(p=p, delta=delta, W=vecs * np.sqrt(np.clip(vals, 0.0, None)),
+                        w=1.0, c=0.0, data=_wigner_gram(Y), scale=1.0, shift=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +247,8 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
 
     A generator: it yields each Lanczos vector q_m, is sent A q_m back, and
     returns the Ritz values (largest first), the Ritz vectors as the columns
-    of a (dim, 2) array, and the step count.  `_lanczos_top2` drives it with
-    one matvec; `lamp_and_pca` drives two of them in lockstep.
+    of a (dim, 2) array, and the step count.  `_lockstep` drives one or more
+    of them.
 
     Lanczos from q_1 = v0/|v0|, v0 = rng.standard_normal(dim), never restarted:
     after the three-term recurrence each step projects its vector off the
@@ -341,27 +320,43 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
         Q[m] = w / np.linalg.norm(w)
 
 
-def _advance(steps, w):
-    """Send A q to a recurrence: (its next vector, None), or (None, its result)."""
-    try:
-        return steps.send(w), None
-    except StopIteration as stop:
-        return None, stop.value
+def _lamp_side(op: LampOperator, seed: int, tol: float, max_iter: int, truth=None):
+    """LAMP's side of `_lockstep`: A = F^T M F / Delta, out through F, back
+    through `op.reduce`."""
+    return (_lanczos_steps(op.factor_dim(), make_rng(seed), tol, max_iter),
+            op.factor_apply, op.reduce, lambda solved: _lamp_result(op, solved, truth))
 
 
-def _finish(steps, matvec, q):
-    """Answer each vector of a recurrence that has just yielded q; its result."""
-    result = None
-    while result is None:
-        q, result = _advance(steps, matvec(q))
-    return result
+def _pca_side(inst: SpikedInstance, data, seed: int, tol: float, max_iter: int):
+    """PCA's side of `_lockstep`: A = G, the data operator `data` of `inst`."""
+    return (_lanczos_steps(inst.p, make_rng(seed), tol, max_iter), lambda q: q,
+            lambda x, gx: gx, lambda solved: _pca_result(inst, data, solved))
 
 
-def _lanczos_top2(matvec, dim: int, rng: np.random.Generator, tol: float,
-                  max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """`_lanczos_steps` driven alone: (Ritz values, Ritz vectors, steps)."""
-    steps = _lanczos_steps(dim, rng, tol, max_iter)
-    return _finish(steps, matvec, next(steps))
+def _lockstep(data, sides) -> list:
+    """Run Lanczos recurrences side by side on one data operator G; their results.
+
+    Each side is (steps, out, back, finish): a `_lanczos_steps` recurrence,
+    the map of its vectors q to rows x of G, the map of (x, x G) to A q,
+    and the map of its (Ritz values, Ritz vectors, steps) to its result.  At
+    every step the sides still running map their vectors into rows of one
+    block x, which goes through one product x G (`gram`), so they all share
+    each read of Y; each then maps its row back and sends it to its
+    recurrence.  A side that stops drops out and the others go on with
+    fewer rows.  A `LanczosNoConvergence` of any side propagates.  With one
+    side this is the lone solve.
+    """
+    vectors = [next(steps) for steps, *_ in sides]
+    solved = [None] * len(sides)
+    while running := [i for i, done in enumerate(solved) if done is None]:
+        x = np.stack([sides[i][1](vectors[i]) for i in running])
+        for i, xi, gxi in zip(running, x, data(x)):
+            steps, _, back, _ = sides[i]
+            try:
+                vectors[i] = steps.send(back(xi, gxi))
+            except StopIteration as stop:
+                solved[i] = stop.value
+    return [side[3](done) for side, done in zip(sides, solved)]
 
 
 @dataclass
@@ -384,44 +379,38 @@ def _overlap_sq(v: np.ndarray, truth: np.ndarray | None) -> float | None:
     return float(v @ truth) ** 2 / p ** 2
 
 
-def _lamp_matvec(op: LampOperator):
-    """y -> F^T M F y / Delta, the symmetric form of Gamma (K = F F^T)."""
-    return lambda y: op.factor_rapply(op.data_apply(op.factor_apply(y))) / op.delta
-
-
 def _lamp_result(op: LampOperator, solved, truth) -> SpectralResult:
-    """Gamma's eigenpairs from the Ritz pairs of F^T M F / Delta (`leading_eigs`)."""
+    """Gamma's eigenpairs from the Ritz pairs of F^T M F / Delta (`leading_eigs`).
+
+    The eigenvectors F y_i and their residuals |Gamma v - lambda v| / |v|
+    come as rows, the residuals through one product with G.
+    """
     vals, vecs, iters = solved
-    dim = op.factor_dim()
-    first = op.factor_apply(vecs[:, 0])
-    second = op.factor_apply(vecs[:, 1])
-    top = _normalize_to_p(first, op.p)
-    pairs = [(vals[0], top)]
-    if np.linalg.norm(second) ** 2 > dim * _EPS * np.linalg.norm(first) ** 2:
-        pairs.append((vals[1], second))
-    eigenvalues, residuals = [None, None], [None, None]
-    for i, (lam, vec) in enumerate(pairs):
-        eigenvalues[i] = float(lam)
-        residuals[i] = float(np.linalg.norm(op.apply(vec) - lam * vec)
-                             / np.linalg.norm(vec))
-    return SpectralResult(eigenvalues=tuple(eigenvalues), eigenvector=top,
+    x = op.factor_apply(vecs.T)
+    norms = np.linalg.norm(x, axis=1)
+    kept = 1 + (norms[1] ** 2 > op.factor_dim() * _EPS * norms[0] ** 2)
+    x, vals = x[:kept], vals[:kept]
+    res = np.linalg.norm(op.apply(x) - vals[:, None] * x, axis=1) / norms[:kept]
+    pad = (None,) * (2 - kept)
+    top = _normalize_to_p(x[0], op.p)
+    return SpectralResult(eigenvalues=tuple(map(float, vals)) + pad, eigenvector=top,
                           overlap_sq=_overlap_sq(top, truth), iters=iters,
-                          residuals=tuple(residuals))
+                          residuals=tuple(map(float, res)) + pad)
 
 
 def _pca_result(inst: SpikedInstance, data, solved) -> SpectralResult:
-    """PCA's record from the Ritz pairs of G (`pca_estimate`)."""
+    """PCA's record from the Ritz pairs of G (`pca_estimate`), both residuals
+    through one product with G."""
     vals, vecs, iters = solved
-    p = inst.p
-    res = [float(np.linalg.norm(data(vecs[:, i]) - vals[i] * vecs[:, i]))
-           for i in range(2)]
+    q = vecs.T
+    res = np.linalg.norm(data(q) - vals[:, None] * q, axis=1)
     if isinstance(inst.model, Wishart):
         vals = np.sqrt(np.clip(vals, 0.0, None))   # singular values of Y/sqrt(p)
-    top = _normalize_to_p(vecs[:, 0], p)
+    top = _normalize_to_p(q[0], inst.p)
     return SpectralResult(eigenvalues=(float(vals[0]), float(vals[1])),
                           eigenvector=top,
                           overlap_sq=_overlap_sq(top, inst.v_star),
-                          iters=iters, residuals=tuple(res))
+                          iters=iters, residuals=tuple(map(float, res)))
 
 
 def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
@@ -429,14 +418,15 @@ def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
                  seed: int = 0) -> SpectralResult:
     """Top-2 eigenpairs of the LAMP operator, largest first.
 
-    `_lanczos_top2` on the symmetric F^T M F / Delta (K = F F^T), mapped back
-    to Gamma's eigenvectors through F.  `max_iter` caps the Lanczos steps
-    (the cap is min(dim, max_iter), dim = `op.factor_dim()`, and the basis
-    takes at most 8 dim min(dim, max_iter) bytes); `iters` counts the
-    operator applications, one per step.  There is no other path: an
-    operator without a PSD preconditioner cannot be built (`LampCoeffs`
-    rejects anything but a >= b >= 0, `build_cov_lamp` a Sigma_hat that is
-    not symmetric PSD).
+    `_lockstep` with LAMP's side alone: Lanczos on the symmetric
+    F^T M F / Delta (K = F F^T), mapped back to Gamma's eigenvectors
+    through F.  `max_iter` caps the Lanczos steps (the cap is
+    min(dim, max_iter), dim = `op.factor_dim()`, and the basis takes at most
+    8 dim min(dim, max_iter) bytes); `iters` counts the operator
+    applications, one per step.  There is no other path: an operator
+    without a PSD preconditioner cannot be built (`LampCoeffs` rejects
+    anything but a >= b >= 0, `build_cov_lamp` a Sigma_hat that is not
+    symmetric PSD).
 
     When F has a null space (a rank-deficient Sigma_hat) and the second Ritz
     vector y lies in it, F y is rounding noise, not an eigenvector of Gamma:
@@ -444,50 +434,34 @@ def leading_eigs(op: LampOperator, truth: np.ndarray | None = None,
     None.  Only a Ritz vector in null(F), whose Ritz value is 0 to rounding,
     meets that test.
     """
-    solved = _lanczos_top2(_lamp_matvec(op), op.factor_dim(), make_rng(seed), tol,
-                           max_iter)
-    return _lamp_result(op, solved, truth)
+    return _lockstep(op.data, [_lamp_side(op, seed, tol, max_iter, truth)])[0]
 
 
 def pca_estimate(inst: SpikedInstance, seed: int = 0,
                  tol: float = 1e-10) -> SpectralResult:
     """Leading eigenpair of Y/sqrt(p) (Wigner) or top right-singular pair (Wishart)."""
     data = gram(inst)
-    return _pca_result(inst, data,
-                       _lanczos_top2(data, inst.p, make_rng(seed), tol, _MAX_STEPS))
+    return _lockstep(data, [_pca_side(inst, data, seed, tol, _MAX_STEPS)])[0]
 
 
-def lamp_and_pca(inst: SpikedInstance, gm: GenerativeModel, coeffs: LampCoeffs,
-                 tol: float = 1e-8, lamp_seed: int = 0, pca_seed: int = 0,
-                 max_iter: int = _MAX_STEPS) -> tuple[SpectralResult, SpectralResult]:
-    """`leading_eigs(build_lamp(...))` and `pca_estimate` on one instance, in lockstep.
+def solve(inst: SpikedInstance, methods, gm: GenerativeModel | None = None,
+          coeffs: LampCoeffs | None = None, tol: float = 1e-8, lamp_seed: int = 0,
+          pca_seed: int = 0, max_iter: int = _MAX_STEPS) -> dict:
+    """The results of `methods`, any of "lamp" and "pca", on one instance, by name.
 
-    The two Lanczos recurrences run step by step side by side, so that each
-    step reads Y for both at once: LAMP's F y and PCA's q are stacked as a
-    2 x p block of rows, which goes through one row-layout product x G
-    (`gram`); then LAMP applies its scale, shift, F^T and 1/Delta, and PCA
-    takes its row as it is.  Once one side converges, the other goes on
-    alone with its own vector product.  Each side has its own rng and the
-    same tol and step cap (`max_iter`) as its lone solve, and a
-    `LanczosNoConvergence` from either side propagates.  The row product
-    sums in another order than the vector one, so the results match the
-    lone solves to rounding, not bit for bit.  The two bases are resident
-    together, and on a Wigner Y the two sides share one set of product
-    tiles.
+    One `_lockstep` solve: LAMP (`leading_eigs(build_lamp(inst, gm,
+    coeffs))`) and PCA (`pca_estimate`) share each product with Y.  Each
+    side has its own rng and the same tol and step cap (`max_iter`) as its
+    lone solve, and takes the same steps; the stacked products sum in
+    another order than a lone one, so the results match the lone solves to
+    rounding, not bit for bit.  The two bases are resident together, and on
+    a Wigner Y the two sides share one set of product tiles.
     """
-    op = build_lamp(inst, gm, coeffs)
-    lamp_steps = _lanczos_steps(op.factor_dim(), make_rng(lamp_seed), tol, max_iter)
-    pca_steps = _lanczos_steps(inst.p, make_rng(pca_seed), tol, max_iter)
-    y, q = next(lamp_steps), next(pca_steps)
-    lamp = pca = None
-    while lamp is None and pca is None:
-        x = np.stack([op.factor_apply(y), q])
-        gx = op.data(x, rows=True)
-        y, lamp = _advance(lamp_steps, op.factor_rapply(op.scale * gx[0]
-                                                        - op.shift * x[0]) / op.delta)
-        q, pca = _advance(pca_steps, gx[1])
-    if lamp is None:
-        lamp = _finish(lamp_steps, _lamp_matvec(op), y)
-    if pca is None:
-        pca = _finish(pca_steps, op.data, q)
-    return _lamp_result(op, lamp, inst.v_star), _pca_result(inst, op.data, pca)
+    op = build_lamp(inst, gm, coeffs) if "lamp" in methods else None
+    data = op.data if op else gram(inst)
+    sides = {}
+    if op:
+        sides["lamp"] = _lamp_side(op, lamp_seed, tol, max_iter, inst.v_star)
+    if "pca" in methods:
+        sides["pca"] = _pca_side(inst, data, pca_seed, tol, max_iter)
+    return dict(zip(sides, _lockstep(data, list(sides.values()))))

@@ -18,12 +18,22 @@ def full_symmetric(Y: np.ndarray) -> np.ndarray:
     return lower + np.tril(lower, -1).T
 
 
-def lamp_dense(op) -> np.ndarray:
-    """The LAMP operator Gamma of a `spectral.LampOperator` as a dense p x p matrix."""
-    if op.p > DENSE_CUTOFF:
+def lamp_dense(inst, W: np.ndarray, coeffs) -> np.ndarray:
+    """The LAMP operator Gamma = ((a-b) I + b W W^T/k)(scale G - shift I)/Delta
+    of `inst` as a dense p x p matrix, from W, the LAMP coefficients and the
+    dense symmetric Y: G = Y/sqrt(p), scale 1 and shift a (Wigner), or
+    G = Y^T Y / p, scale 1/(a + Delta/d) and shift d beta (Wishart)."""
+    p, k = W.shape
+    if p > DENSE_CUTOFF:
         raise ValueError(f"dense assembly limited to p <= {DENSE_CUTOFF}")
-    m = op.data_apply(np.eye(op.p))
-    return op.precond_apply(m) / op.delta
+    a, b = coeffs.a, coeffs.b
+    if isinstance(inst.model, Wigner):
+        G, scale, shift = full_symmetric(inst.Y) / math.sqrt(p), 1.0, a
+    else:
+        G = inst.Y.T @ inst.Y / p
+        scale, shift = 1.0 / (a + inst.delta / coeffs.d), coeffs.d * inst.beta
+    K = (a - b) * np.eye(p) + b * (W @ W.T) / k
+    return K @ (scale * G - shift * np.eye(p)) / inst.delta
 
 
 # ---------------------------------------------------------------------------

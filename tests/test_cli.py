@@ -104,9 +104,9 @@ def test_sweep_workers_equivalence(tmp_path):
     assert sorted(map(str, rows1)) == sorted(map(str, rows2))
 
 
-def test_sweep_pool_no_larger_than_the_grid(monkeypatch):
-    # the pool starts all its workers at once, so it gets at most one per
-    # point; a fake pool records its size and starts no process
+def _recording_pool(monkeypatch, cores):
+    """Fake `cores` usable cores and a process pool that records its size and
+    starts no process; returns the list of recorded sizes."""
     sizes = []
 
     class RecordingPool:
@@ -123,6 +123,14 @@ def test_sweep_pool_no_larger_than_the_grid(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    return sizes
+
+
+def test_sweep_pool_no_larger_than_the_grid(monkeypatch):
+    # the pool starts all its workers at once, so it gets at most one per
+    # point, here with more cores than points
+    sizes = _recording_pool(monkeypatch, cores=64)
     grid = dict(alpha_grid=[1.0, 2.0], delta_grid=[1.0, 2.0, 3.0], methods=["se"])
     serial = cli.run_sweep(cli.ExperimentConfig(workers=1, **grid))
     assert cli.run_sweep(cli.ExperimentConfig(workers=10 ** 6, **grid)) == serial
@@ -132,6 +140,33 @@ def test_sweep_pool_no_larger_than_the_grid(monkeypatch):
     cli.run_sweep(cli.ExperimentConfig(workers=10 ** 6, alpha_grid=[2.0],
                                        delta_grid=[1.0], methods=["se"]))
     assert sizes == [6, 3]
+
+
+def test_sweep_workers_clamped_to_the_cores(monkeypatch, capsys):
+    # workers above the usable cores are clamped, with a note on stderr; the
+    # rows do not depend on the worker count
+    sizes = _recording_pool(monkeypatch, cores=2)
+    grid = dict(alpha_grid=[1.0, 2.0], delta_grid=[1.0, 2.0, 3.0], methods=["se"])
+    serial = cli.run_sweep(cli.ExperimentConfig(workers=1, **grid))
+    assert "clamping" not in capsys.readouterr().err
+    assert cli.run_sweep(cli.ExperimentConfig(workers=2, **grid)) == serial
+    assert "clamping" not in capsys.readouterr().err
+    assert cli.run_sweep(cli.ExperimentConfig(workers=10 ** 6, **grid)) == serial
+    assert "# clamping workers to 2," in capsys.readouterr().err
+    assert sizes == [2, 2]
+
+
+def test_sweep_grid_product_bounded(monkeypatch, capsys):
+    # each grid fits alone, but their product is refused before a point is
+    # built, at need - 1 bytes of faked physical memory and not at need
+    need = 6 * cli.SWEEP_POINT_BYTES
+    argv = ["sweep", "--alpha-grid", "1,2", "--delta-grid", "1,2,3"]
+    for ram, code in ((need, 0), (need - 1, 2)):
+        pages = {"SC_PHYS_PAGES": ram, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+        assert run_main(argv) == code
+    err = capsys.readouterr().err
+    assert "alpha_grid/delta_grid: a sweep of 6 points" in err and "physical memory" in err
 
 
 def test_sweep_empty_grid_usage_error():
@@ -183,7 +218,7 @@ def test_run_single_shares_instance():
 
 def test_spectral_records_carry_matvec_counts():
     # `iters` is the solver's operator-application count, for PCA as for LAMP.
-    # Requested together they run in lockstep (`spectral.lamp_and_pca`), whose
+    # Requested together they run in lockstep (`spectral.solve`), whose
     # results the record carries exactly; each agrees with its lone solve in
     # steps, and to rounding in eigenvalues and overlap
     for model in ("wigner", "wishart"):
@@ -194,12 +229,12 @@ def test_spectral_records_carry_matvec_counts():
         coeffs = spectral.lamp_coefficients(cfg.act(), cfg.latent_prior(),
                                             cfg.model_kind())
         seeds = cli.splitmix64(cfg.seed, 6), cli.splitmix64(cfg.seed, 7)
-        pair = spectral.lamp_and_pca(inst, gm, coeffs, tol=cfg.eig_tol,
-                                     lamp_seed=seeds[0], pca_seed=seeds[1])
+        pair = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, tol=cfg.eig_tol,
+                              lamp_seed=seeds[0], pca_seed=seeds[1])
         lone = (spectral.leading_eigs(spectral.build_lamp(inst, gm, coeffs),
                                       truth=inst.v_star, tol=cfg.eig_tol, seed=seeds[0]),
                 spectral.pca_estimate(inst, seed=seeds[1], tol=cfg.eig_tol))
-        for name, sr, alone in zip(("lamp", "pca"), pair, lone):
+        for name, sr, alone in zip(("lamp", "pca"), pair.values(), lone):
             assert m[name]["iters"] == sr.iters == alone.iters > 0
             assert m[name]["eigenvalues"] == list(sr.eigenvalues)
             assert m[name]["residuals"] == list(sr.residuals)
@@ -279,6 +314,19 @@ def test_rmt_subcommand_csv(tmp_path, capsys):
     at3 = [r for r in rows[1:] if float(r[0]) == 3.0][0]
     assert float(at3[1]) == pytest.approx(1.0, abs=1e-9)
     assert float(at3[2]) == pytest.approx(-1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("model, delta, alpha", [("wigner", 0.5, 2.0), ("wigner", 0.5, 0.5),
+                                                  ("wishart", 1.0, 2.0)])
+def test_rmt_density_grid_holds_the_bulk(tmp_path, capsys, model, delta, alpha):
+    # the default grid runs from 0.3 below the bulk's lower edge to 0.3 past
+    # lambda_max, so the density CSV holds the bulk's whole mass, min(alpha, 1)
+    out = tmp_path / "d.csv"
+    assert run_main(["rmt", "--model", model, "--beta", "1.5", "--alpha", str(alpha),
+                     "--delta", str(delta), "--density-out", str(out)]) == 0
+    x, nu = np.loadtxt(out, delimiter=",", skiprows=1).T
+    assert len(x) == 200
+    assert np.trapezoid(nu, x) == pytest.approx(min(alpha, 1.0), abs=1e-3)
 
 
 def test_amp_trace_csv(tmp_path):
@@ -622,6 +670,16 @@ def test_huge_alpha_fails_cleanly(capsys, argv):
     assert run_main(argv) in (2, 3)
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_rmt_density_without_a_lower_edge_is_numerical_failure(tmp_path, capsys):
+    # a Wishart bulk on the negative axis has no upper edge to solve, and at a
+    # tiny alpha the lower edge's root lies inside the bracket guard
+    argv = ["rmt", "--model", "wishart", "--beta", "1.5", "--alpha", "1e-9",
+            "--delta", "0.1", "--density-out", str(tmp_path / "d.csv")]
+    assert run_main(argv) == 3
+    err = capsys.readouterr().err
+    assert "edge equation has no root in [1e-10," in err and "Traceback" not in err
 
 
 def test_relu_se_at_tiny_delta_is_numerical_failure(capsys):

@@ -55,36 +55,42 @@ def test_applicator_matches_dense(odd_act):
     gm, inst = _instance(150, 75, 0.8, odd_act, seed=1)
     coeffs = sp.lamp_coefficients(odd_act, GAUSS1)
     op = sp.build_lamp(inst, gm, coeffs)
-    dense = lamp_dense(op)
-    rng = make_rng(4)
-    for _ in range(5):
-        x = rng.standard_normal(gm.p)
-        assert np.allclose(op.apply(x), dense @ x, atol=1e-10)
+    dense = lamp_dense(inst, gm.W, coeffs)
+    x = make_rng(4).standard_normal((5, gm.p))
+    assert np.allclose(op.apply(x), x @ dense.T, atol=1e-10)
 
 
 @pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
 def test_lower_product_reads_only_the_lower_triangle(p):
-    # below, at and across the panel height; a vector and a matrix of columns
+    # x Y for blocks of one and of three rows, below, at and across the panel
+    # height, from the lower triangle alone
     rng = make_rng(p)
     full = _sym(p, p)
     garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
-    x, xs = rng.standard_normal(p), rng.standard_normal((p, 3))
+    blocks = rng.standard_normal((1, p)), rng.standard_normal((3, p))
     for Y in (np.tril(full), full, garbage):
         product = sp._lower_product(Y)
-        for arg in (x, xs):
-            want = full @ arg
-            assert np.max(np.abs(product(arg) - want)) <= 1e-12 * np.max(np.abs(want))
+        for rows in blocks:
+            want = rows @ full
+            assert np.max(np.abs(product(rows) - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(full_symmetric(garbage), full)
 
 
 def test_pure_covariance_preconditioner():
-    # b = a: the preconditioner is exactly a * W W^T / k
+    # F F^T is the dense K: a W W^T / k when b = a, where F = sqrt(b/k) W has
+    # no identity block, (a - b) I + b W W^T / k when b < a, and Sigma_hat for
+    # covariance-LAMP; factor_rapply is F's transpose
     gm, inst = _instance(80, 40, 1.0, LINEAR, seed=2)
-    coeffs = sp.LampCoeffs(a=1.0, b=1.0)
-    op = sp.build_lamp(inst, gm, coeffs)
-    x = make_rng(5).standard_normal(80)
-    want = gm.W @ (gm.W.T @ x) / gm.k
-    assert np.allclose(op.precond_apply(x), want, atol=1e-12)
+    sigma = sp.empirical_covariance(make_rng(5).standard_normal((30, 80)))
+    ops = [(sp.build_lamp(inst, gm, coeffs),
+            (coeffs.a - coeffs.b) * np.eye(80) + coeffs.b * (gm.W @ gm.W.T) / gm.k)
+           for coeffs in (sp.LampCoeffs(a=1.0, b=1.0), sp.LampCoeffs(a=1.0, b=2 / math.pi))]
+    ops.append((sp.build_cov_lamp(inst.Y, sigma, 1.0), sigma))
+    for op, K in ops:
+        F = op.factor_apply(np.eye(op.factor_dim())).T
+        assert np.allclose(F @ F.T, K, atol=1e-12)
+        assert np.array_equal(op.factor_rapply(np.eye(80)), F)
+    assert [op.factor_dim() for op, _ in ops] == [40, 120, 80]
 
 
 def test_dimension_mismatch_errors():
@@ -108,9 +114,9 @@ def test_wishart_operator_dense_agreement():
     inst = sample_wishart(u, v, 0.9, seed=14, prior_u=pu, z_star=z)
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1, Wishart(beta=1.0))
     op = sp.build_lamp(inst, gm, coeffs)
-    dense = lamp_dense(op)
-    x = make_rng(15).standard_normal(120)
-    assert np.allclose(op.apply(x), dense @ x, atol=1e-10)
+    dense = lamp_dense(inst, gm.W, coeffs)
+    x = make_rng(15).standard_normal((3, 120))
+    assert np.allclose(op.apply(x), x @ dense.T, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +133,23 @@ def _with_spectrum(vals, seed):
     return (q * vals) @ q.T
 
 
+def _lone(a, tol, max_iter=1000, data=None):
+    """The driver with one side on the dense symmetric `a` (data rows x -> x a)."""
+    same = lambda v: v
+    side = (sp._lanczos_steps(a.shape[0], make_rng(0), tol, max_iter), same,
+            lambda x, gx: gx, same)
+    return sp._lockstep(data or a.__rmatmul__, [side])[0]
+
+
 def _check_top2(a, tol=1e-10):
-    """`_lanczos_top2` on the dense symmetric `a` against numpy.linalg.eigh."""
+    """`_lone` on the dense symmetric `a` against numpy.linalg.eigh."""
     count = [0]
 
-    def matvec(x):
+    def data(x):
         count[0] += 1
-        return a @ x
+        return x @ a
 
-    vals, vecs, steps = sp._lanczos_top2(matvec, a.shape[0], make_rng(0), tol, 1000)
+    vals, vecs, steps = _lone(a, tol, data=data)
     want = np.linalg.eigh(a)[0][::-1][:2]
     assert steps == count[0] <= a.shape[0]
     assert vals[0] >= vals[1]
@@ -144,7 +158,7 @@ def _check_top2(a, tol=1e-10):
         y = vecs[:, i]
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(a @ y - vals[i] * y) <= 2 * tol * abs(vals[i])
-    again = sp._lanczos_top2(a.__matmul__, a.shape[0], make_rng(0), tol, 1000)
+    again = _lone(a, tol)
     assert np.array_equal(again[0], vals) and np.array_equal(again[1], vecs)
     assert again[2] == steps
     return steps
@@ -188,7 +202,7 @@ def test_lanczos_reports_non_convergence():
     with pytest.raises(sp.LanczosNoConvergence,
                        match=r"Lanczos did not converge in 3 steps: worst Ritz "
                              r"estimate .* = \S+ > tol") as err:
-        sp._lanczos_top2(a.__matmul__, 50, make_rng(0), 1e-10, max_iter=3)
+        _lone(a, 1e-10, max_iter=3)
     assert isinstance(err.value, RuntimeError)
 
 
@@ -197,8 +211,8 @@ def test_lanczos_refuses_a_negative_or_non_finite_tol(tol):
     # tol = 0 means machine epsilon, as in ARPACK; nothing else is rewritten
     a = _sym(20, 11)
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        sp._lanczos_top2(a.__matmul__, 20, make_rng(0), tol, 1000)
-    vals, _, _ = sp._lanczos_top2(a.__matmul__, 20, make_rng(0), 0.0, 1000)
+        _lone(a, tol)
+    vals, _, _ = _lone(a, 0.0)
     np.testing.assert_allclose(vals, np.linalg.eigh(a)[0][::-1][:2], rtol=1e-12, atol=0)
 
 
@@ -207,7 +221,7 @@ def test_symmetric_path_on_known_eigenpairs():
     coeffs = sp.lamp_coefficients(LINEAR, GAUSS1)
     op = sp.build_lamp(inst, gm, coeffs)
     res = sp.leading_eigs(op, truth=inst.v_star, seed=1)
-    dense_eigs = np.sort(np.linalg.eigvals(lamp_dense(op)).real)[::-1]
+    dense_eigs = np.sort(np.linalg.eigvals(lamp_dense(inst, gm.W, coeffs)).real)[::-1]
     assert res.eigenvalues[0] == pytest.approx(dense_eigs[0], abs=1e-7)
     assert res.eigenvalues[1] == pytest.approx(dense_eigs[1], abs=1e-6)
     assert res.eigenvalues[0] >= res.eigenvalues[1]
@@ -386,7 +400,8 @@ def test_lamp_and_pca_match_lone_solves(model, act, seed, first):
     # the lockstep pair takes the lone solves' steps, whichever side stops
     # first, and its results differ from theirs only by rounding
     gm, inst, coeffs = _pair_instance(model, {"linear": LINEAR, "sign": SIGN}[act], seed)
-    lamp, pca = sp.lamp_and_pca(inst, gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2)
+    pair = sp.solve(inst, ("lamp", "pca"), gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2)
+    lamp, pca = pair["lamp"], pair["pca"]
     lone_lamp = sp.leading_eigs(sp.build_lamp(inst, gm, coeffs), truth=inst.v_star,
                                 tol=1e-8, seed=1)
     lone_pca = sp.pca_estimate(inst, seed=2, tol=1e-8)
@@ -406,15 +421,16 @@ def test_lamp_and_pca_surface_no_convergence(model, seed, cap, side):
     gm, inst, coeffs = _pair_instance(model, LINEAR, seed)
     message = rf"did not converge in {cap} steps"
     with pytest.raises(sp.LanczosNoConvergence, match=message):
-        sp.lamp_and_pca(inst, gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2,
-                        max_iter=cap)
+        sp.solve(inst, ("lamp", "pca"), gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2,
+                 max_iter=cap)
     op = sp.build_lamp(inst, gm, coeffs)
     lone = {"lamp": lambda: sp.leading_eigs(op, tol=1e-8, max_iter=cap, seed=1),
-            "pca": lambda: sp._lanczos_top2(sp.gram(inst), inst.p, make_rng(2), 1e-8, cap)}
+            "pca": lambda: sp.solve(inst, ("pca",), tol=1e-8, pca_seed=2, max_iter=cap)}
     with pytest.raises(sp.LanczosNoConvergence, match=message):
         lone[side]()
     other = "pca" if side == "lamp" else "lamp"
     lone[other]()
+
 
 
 @pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
@@ -426,5 +442,5 @@ def test_lower_product_row_layout(p):
     rows = rng.standard_normal((2, p))
     want = rows @ full
     for Y in (np.tril(full), garbage):
-        got = sp._lower_product(Y)(rows, rows=True)
+        got = sp._lower_product(Y)(rows)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
