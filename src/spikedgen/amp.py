@@ -8,16 +8,25 @@ messages through W), and the marginal updates by the scalar denoisers of
 to v) for Wishart, whose state also carries u_hat.  The per-iteration overlap
 v_hat . v* / p is tracked so runs can be compared against state evolution.
 
-One BLAS library per hot loop: every dense product of an iteration goes
-through `scipy.linalg.blas`.  numpy and scipy link two separate OpenBLAS
-builds, each with its own thread pool whose threads spin for a while after a
-call, so a call into one library right after a call into the other runs at
-about half speed while the idle pool still holds the cores.  The products are
-made on the Fortran-ordered `.T` view of the C-ordered W and Y, so f2py copies
-no matrix.  The Wigner pass uses `dsymv`, which reads only the lower
-triangle of Y (row >= column), half the bytes of a full pass.  That triangle
-is all that `sample_wigner` stores; a dense symmetric Y built by hand gives
-the same v_hat bit for bit, and of any other Y only that triangle counts.
+The iteration is a recurrence, as `spectral._lanczos_steps` is: before each
+step it yields the rows Y multiplies and is sent their products.  Wigner AMP
+drives it on its own loop.  Wishart AMP is a side of the spectral lockstep
+(`spectral.solve`): v_hat goes into the pass x -> x Y^T and u_hat into the
+pass t -> t Y, so with LAMP and PCA on the same Y it shares each pair of
+passes, whose extra rows cost little once a product is a matrix product.
+
+One BLAS library per hot loop, the library of the loop's Y product.  numpy
+and scipy link two separate OpenBLAS builds, each with its own thread pool
+whose threads spin for a while after a call, so a call into one library
+right after a call into the other runs at about half speed while the idle
+pool still holds the cores.  The Wishart loop is the lockstep, on numpy's
+BLAS, so its products with W are numpy's too.  Wigner AMP makes every
+product through `scipy.linalg.blas`, on the Fortran-ordered `.T` view of the
+C-ordered W and Y, so f2py copies no matrix.  Its pass over Y uses `dsymv`,
+which reads only the lower triangle of Y (row >= column), half the bytes of
+a full pass.  That triangle is all that `sample_wigner` stores; a dense
+symmetric Y built by hand gives the same v_hat bit for bit, and of any
+other Y only that triangle counts.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import numpy as np
 from scipy.linalg import blas
 
 from . import channels as ch
+from . import spectral
 from .priors import (GenerativeModel, SeparablePrior, SpikedInstance, Wigner,
                      Wishart, make_rng)
 
@@ -112,6 +122,11 @@ def _gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
     return blas.dgemv(1.0, A.T, x, trans=0 if trans else 1)
 
 
+def _np_gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """A x, or A^T x, on numpy's BLAS, the library of Y's passes in `spectral`."""
+    return (A.T if trans else A) @ x
+
+
 def _symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Y x for the symmetric Y whose lower triangle the C-ordered Y holds,
     through dsymv on the upper triangle of the F-ordered Y.T."""
@@ -119,13 +134,18 @@ def _symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
-             onsager: bool = True, prior_u: SeparablePrior | None = None) -> AmpState:
+             onsager: bool = True, prior_u: SeparablePrior | None = None,
+             products=None) -> AmpState:
     """One sweep of the Bayes-optimal algorithm, for either model.
 
     The spiked layer is bipartite when the state carries u_hat (Wishart; the
     u denoiser is `prior_u`, by default the instance's) and symmetric
-    otherwise.  `onsager=False` drops its memory terms; it exists only as a
-    negative control for the state-evolution tracking tests.
+    otherwise.  `products` are Y's products with the state: (Y v_hat,) for
+    Wigner, (Y v_hat, Y^T u_hat) for Wishart; by default they are made here,
+    on the library of the model's loop (scipy's dsymv for Wigner, numpy for
+    Wishart), and so are the products with W.  `onsager=False` drops the
+    memory terms; it exists only as a negative control for the
+    state-evolution tracking tests.
     """
     p, k = gm.p, gm.k
     delta = inst.delta
@@ -136,13 +156,17 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
 
     eu = cu = None
     if state.u_hat is None:
-        b_v = _symv(inst.Y, state.v_hat) / (sp * delta)
+        gemv = _gemv
+        (yv,) = products or (_symv(inst.Y, state.v_hat),)
+        b_v = yv / (sp * delta)
         if onsager:
             b_v -= (np.mean(state.c_v) / delta) * state.v_hat_prev
         a_v = float(state.v_hat @ state.v_hat) / (delta * p)
     else:
-        b_u = _gemv(inst.Y, state.v_hat) / (sp * delta)
-        b_v = _gemv(inst.Y, state.u_hat, trans=True) / (sp * delta)
+        gemv = _np_gemv
+        yv, ytu = products or (inst.Y @ state.v_hat, state.u_hat @ inst.Y)
+        b_u = yv / (sp * delta)
+        b_v = ytu / (sp * delta)
         if onsager:
             b_u -= (np.sum(state.c_v) / (p * delta)) * state.u_hat_prev
             b_v -= (np.sum(state.c_u) / (p * delta)) * state.v_hat_prev
@@ -151,11 +175,11 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
         _, eu, cu = ch.latent_moments(prior_u or inst.model.prior_u, b_u, a_u)
 
     v_cap = max(float(np.mean(state.c_z)), _V_FLOOR)
-    omega = _gemv(gm.W, state.z_hat) / sk - v_cap * state.g_prev
+    omega = gemv(gm.W, state.z_hat) / sk - v_cap * state.g_prev
     _, ev, cv, ex, _ = ch.out_moments(gm.act, b_v, a_v, omega, v_cap)
     g = (ex - omega) / v_cap
     lam = float(g @ g) / k
-    gamma = _gemv(gm.W, g, trans=True) / sk + lam * state.z_hat
+    gamma = gemv(gm.W, g, trans=True) / sk + lam * state.z_hat
 
     _, ez, cz = ch.latent_moments(gm.latent, gamma, lam)
     _check_finite(state.t, v_hat=ev, z_hat=ez, u_hat=eu, g=g)
@@ -174,19 +198,23 @@ def _trace(state: AmpState, inst: SpikedInstance, gm: GenerativeModel) -> tuple:
             align_and_mse(state.v_hat, inst.v_star)[0])
 
 
-def _run(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
-         seed: int, onsager: bool = True, init_v=None, init_z=None,
-         prior_u: SeparablePrior | None = None) -> AmpResult:
-    """Init, iterate with damping until the relative change of v_hat is below
-    tol, and collect the traces; a `prior_u` makes the run bipartite."""
+def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
+           seed: int, onsager: bool = True, init_v=None, init_z=None,
+           prior_u: SeparablePrior | None = None):
+    """AMP a step at a time, as `spectral._lanczos_steps` runs Lanczos.
+
+    A generator: before each iteration it yields the rows Y multiplies,
+    (v_hat,) for Wigner or (v_hat, u_hat) for Wishart (a `prior_u` makes the
+    run bipartite), and is sent their products, (Y v_hat,) or
+    (Y v_hat, Y^T u_hat).  It inits, iterates with damping until the
+    relative change of v_hat is below tol, collects the traces, and returns
+    the `AmpResult`.
+    """
     if inst.delta <= 0:
         raise ValueError("delta must be positive (A_v would be infinite)")
     if inst.Y.shape[1] != gm.p:
         raise ValueError("instance and model dimensions differ")
     cfg = cfg or AmpConfig()
-    # C order once per run, so that no iteration copies a matrix into dgemv
-    inst = replace(inst, Y=np.ascontiguousarray(inst.Y))
-    gm = replace(gm, W=np.ascontiguousarray(gm.W))
     p, k = gm.p, gm.k
     rng = make_rng(seed)
     sig = math.sqrt(cfg.init_sigma2)
@@ -204,7 +232,10 @@ def _run(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        new = amp_step(state, inst, gm, onsager=onsager, prior_u=prior_u)
+        products = yield ((state.v_hat,) if prior_u is None
+                          else (state.v_hat, state.u_hat))
+        new = amp_step(state, inst, gm, onsager=onsager, prior_u=prior_u,
+                       products=products)
         if cfg.damping > 0:
             new.v_hat = (1 - cfg.damping) * new.v_hat + cfg.damping * state.v_hat
             new.z_hat = (1 - cfg.damping) * new.z_hat + cfg.damping * state.z_hat
@@ -227,17 +258,43 @@ def _run(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
                      u_hat=state.u_hat, overlap_u=overlap_u)
 
 
+def _drive(steps, product) -> AmpResult:
+    """Run an AMP recurrence alone, the products of its rows made by `product`."""
+    rows = next(steps)
+    while True:
+        try:
+            rows = steps.send(product(*rows))
+        except StopIteration as stop:
+            return stop.value
+
+
 def amp_wigner_run(inst: SpikedInstance, gm: GenerativeModel,
                    cfg: AmpConfig | None = None, seed: int = 0,
                    onsager: bool = True, init_v=None, init_z=None) -> AmpResult:
+    """Wigner AMP on its own loop, every product on scipy's BLAS."""
     if not isinstance(inst.model, Wigner):
         raise ValueError("instance is not a Wigner observation")
-    return _run(inst, gm, cfg, seed, onsager, init_v, init_z)
+    # C order once per run, so that no iteration copies a matrix into dsymv or dgemv
+    Y = np.ascontiguousarray(inst.Y)
+    steps = _steps(replace(inst, Y=Y), replace(gm, W=np.ascontiguousarray(gm.W)),
+                   cfg, seed, onsager, init_v, init_z)
+    return _drive(steps, lambda v: (_symv(Y, v),))
+
+
+def wishart_steps(inst: SpikedInstance, gm: GenerativeModel,
+                  prior_u: SeparablePrior | None = None,
+                  cfg: AmpConfig | None = None, seed: int = 0):
+    """Wishart AMP as a side of `spectral.solve`: v_hat goes into the pass
+    x -> x Y^T and u_hat into the pass t -> t Y, which Lanczos sides on the
+    same Y share; u is denoised with `prior_u`, by default the instance's."""
+    if not isinstance(inst.model, Wishart):
+        raise ValueError("instance is not a Wishart observation")
+    return _steps(inst, gm, cfg, seed, prior_u=prior_u or inst.model.prior_u)
 
 
 def amp_wishart_run(inst: SpikedInstance, gm: GenerativeModel,
                     prior_u: SeparablePrior | None = None,
                     cfg: AmpConfig | None = None, seed: int = 0) -> AmpResult:
-    if not isinstance(inst.model, Wishart):
-        raise ValueError("instance is not a Wishart observation")
-    return _run(inst, gm, cfg, seed, prior_u=prior_u or inst.model.prior_u)
+    """Wishart AMP alone: `spectral.solve` with its side only."""
+    side = wishart_steps(inst, gm, prior_u, cfg, seed)
+    return spectral.solve(inst, sides={"amp": side})["amp"]

@@ -110,6 +110,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise UsageError(f"methods: unknown method {m!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise UsageError(f"methods: each method at most once (got {self.methods})")
         if self.delta is not None and not self.delta > 0:
             raise UsageError("delta: must be positive")
         if self.alpha < 0:
@@ -294,9 +296,14 @@ def _make_instance(cfg: ExperimentConfig, seed: int):
     return gm, inst
 
 
-def _spectral_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
-    """The requested spectral methods' results, by name, from one lockstep solve
-    (`spectral.solve`), LAMP's rng splitmix64(seed, 6) and PCA's splitmix64(seed, 7)."""
+def _sampled_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
+    """The requested sampled methods' results, by name.
+
+    LAMP (rng splitmix64(seed, 6)), PCA (splitmix64(seed, 7)) and, on a
+    Wishart Y, AMP (splitmix64(seed, 5)) are one lockstep solve
+    (`spectral.solve`); Wigner AMP runs on its own loop (`amp_wigner_run`).
+    A Wishart run denoises u with the instance's prior, cfg.u_prior().
+    """
     coeffs = None
     if "lamp" in cfg.methods:
         coeffs = spectral_mod.lamp_coefficients(cfg.act(), cfg.latent_prior(),
@@ -304,8 +311,20 @@ def _spectral_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
         _check_eig_dim("lamp", spectral_mod.lamp_factor_dim(coeffs, gm.p, gm.k))
     if "pca" in cfg.methods:
         _check_eig_dim("pca", inst.p)
-    return spectral_mod.solve(inst, cfg.methods, gm, coeffs, tol=cfg.eig_tol,
-                              lamp_seed=splitmix64(seed, 6), pca_seed=splitmix64(seed, 7))
+    results, sides = {}, {}
+    if "amp" in cfg.methods:
+        amp_seed = splitmix64(seed, 5)
+        if cfg.model == "wigner":
+            results["amp"] = amp_mod.amp_wigner_run(inst, gm, cfg=cfg.amp_config(),
+                                                    seed=amp_seed)
+        else:
+            sides["amp"] = amp_mod.wishart_steps(inst, gm, cfg=cfg.amp_config(),
+                                                 seed=amp_seed)
+    if sides or {"lamp", "pca"} & set(cfg.methods):
+        results |= spectral_mod.solve(inst, cfg.methods, gm, coeffs, tol=cfg.eig_tol,
+                                      lamp_seed=splitmix64(seed, 6),
+                                      pca_seed=splitmix64(seed, 7), sides=sides)
+    return results
 
 
 def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
@@ -326,8 +345,7 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
     if "mi" in cfg.methods and cfg.model != "wigner":
         raise UsageError("mi: the replica mutual information is implemented for "
                          "the Wigner model only")
-    gm = inst = None
-    solved = {}
+    gm = inst = solved = None
     if {"amp", "lamp", "pca"} & set(cfg.methods):
         gm, inst = _make_instance(cfg, seed)
 
@@ -347,28 +365,25 @@ def run_single(cfg: ExperimentConfig, seed: int | None = None) -> dict:
             i_rs, q_v = se_mod.mutual_information(cfg.delta, cfg.alpha, act, latent,
                                                   cfg.se_config())
             m = {"i_rs": i_rs, "q_v": q_v}
-        elif method == "amp":
-            # amp_wigner_run or amp_wishart_run, looked up at call time; a
-            # Wishart run denoises u with the instance's prior, cfg.u_prior()
-            run = getattr(amp_mod, f"amp_{cfg.model}_run")
-            res = run(inst, gm, cfg=cfg.amp_config(), seed=splitmix64(seed, 5))
-            # Nishimori identity: at the Bayes-optimal fixed point
-            # |v_hat . v*| / p = |v_hat|^2 / p
-            m = {"q_v": res.overlap_trace[-1], "mse_v": res.mse_v,
-                 "iters": res.iters, "converged": res.converged,
-                 "nishimori_gap": abs(abs(res.overlap_trace[-1])
-                                      - res.self_overlap_trace[-1]),
-                 "trace": {"q_v": res.overlap_trace, "q_z": res.q_z_trace,
-                           "mse_v": res.mse_trace}}
-            if res.overlap_u is not None:
-                m["q_u"] = res.overlap_u
-        elif method in ("lamp", "pca"):
-            if method not in solved:
-                solved = _spectral_solves(cfg, gm, inst, seed)
-            sr = solved.pop(method)
-            mse, _ = amp_mod.align_and_mse(sr.eigenvector, inst.v_star)
-            m = {"eigenvalues": list(sr.eigenvalues), "overlap_sq": sr.overlap_sq,
-                 "mse_v": mse, "residuals": list(sr.residuals), "iters": sr.iters}
+        else:
+            if solved is None:
+                solved = _sampled_solves(cfg, gm, inst, seed)
+            res = solved[method]
+            if method == "amp":
+                # Nishimori identity: at the Bayes-optimal fixed point
+                # |v_hat . v*| / p = |v_hat|^2 / p
+                m = {"q_v": res.overlap_trace[-1], "mse_v": res.mse_v,
+                     "iters": res.iters, "converged": res.converged,
+                     "nishimori_gap": abs(abs(res.overlap_trace[-1])
+                                          - res.self_overlap_trace[-1]),
+                     "trace": {"q_v": res.overlap_trace, "q_z": res.q_z_trace,
+                               "mse_v": res.mse_trace}}
+                if res.overlap_u is not None:
+                    m["q_u"] = res.overlap_u
+            else:
+                mse, _ = amp_mod.align_and_mse(res.eigenvector, inst.v_star)
+                m = {"eigenvalues": list(res.eigenvalues), "overlap_sq": res.overlap_sq,
+                     "mse_v": mse, "residuals": list(res.residuals), "iters": res.iters}
         record["metrics"][method] = m
     record["wall_time"] = time.time() - t0
     return record

@@ -15,18 +15,23 @@ preconditioner is PSD: K = F F^T, and `LampOperator` holds it only as F.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
 whose eigenvectors map back through F.
 
-G has one layout: it takes an m x p block of rows x and returns x G, and a
-Wigner Y is read through its lower triangle alone (`_lower_product`), the
-part `priors.sample_wigner` stores.  One Lanczos recurrence,
-`_lanczos_steps`, finds the top two eigenpairs for LAMP, covariance-LAMP
-and PCA: it never restarts, keeps its whole basis orthonormal, and stops by
-ARPACK's rule.  One driver, `_lockstep`, runs any number of them on one G a
-step at a time, stacking the rows of those still running into one product,
-so LAMP and PCA on one instance share each read of Y, and a lone solve is
-the same loop with one row.  Rows cost no more than vectors: on a
-6000 x 4000 Wishart Y and 2 cores, (x Y^T) Y for one row takes as long as
-Y^T (Y x) (13-16 ms), with a bit-identical result, and 20-27 ms for two
-rows, against 24-38 ms for two vector products.
+G has one layout: it takes an m x p block of rows x and returns x G, made
+by row passes over Y (`DataOperator`): one for Wigner, whose Y is read
+through its lower triangle alone (`_lower_product`), the part
+`priors.sample_wigner` stores, and two for Wishart, x -> x Y^T and then
+t -> t Y.  One Lanczos recurrence, `_lanczos_steps`, finds the top two
+eigenpairs for LAMP, covariance-LAMP and PCA: it never restarts, keeps its
+whole basis orthonormal, and stops by ARPACK's rule.  One driver,
+`_lockstep`, runs any number of recurrences on one G a step at a time,
+stacking the rows of those still running into one block per pass, and a
+lone solve is the same loop with one side.  A Lanczos side puts its row
+through every pass; Wishart AMP (`amp.wishart_steps`) is a side too, whose
+v_hat goes into the first pass and u_hat into the second.  So AMP, LAMP and
+PCA on one Wishart Y share each pair of passes.  A row costs little once a
+product is a matrix product: on a 6000 x 4000 Wishart Y and 2 cores,
+(x Y^T) Y takes 9-10, 17-18, 20-22, 22-25 and 24-27 ms for 1, 2, 3, 4 and
+8 rows, and the pass x -> x Y^T alone 4.5-5, 9-10, 11-12, 11-13 and
+12-14 ms (medians of 12, in two sets).
 Inputs without that structure are rejected at construction: `LampCoeffs`
 unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
 """
@@ -92,7 +97,7 @@ class LampOperator:
     W: np.ndarray        # F's last block, p x r
     w: float             # its weight
     c: float             # weight of F's identity block; 0 means no such block
-    data: callable       # the data operator G of `gram`
+    data: DataOperator   # the data operator G of `gram`
     scale: float
     shift: float
 
@@ -166,23 +171,41 @@ def lower_product_bytes(p: int) -> int:
     return 8 * side * (p + side)
 
 
-def _wigner_gram(Y: np.ndarray):
-    sp, product = math.sqrt(Y.shape[0]), _lower_product(Y)
-    return lambda x: product(x) / sp
+@dataclass(frozen=True)
+class DataOperator:
+    """The data operator G = P / norm on an m x p block of rows, where P
+    applies the row products `passes` in turn.
+
+    Every product takes a block of rows and all of them share each read of
+    Y.  `_lockstep` drives the passes one at a time, so that a side can
+    also put its own rows into a later pass.
+    """
+
+    passes: tuple
+    norm: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        for product in self.passes:
+            x = product(x)
+        return x / self.norm
 
 
-def gram(inst: SpikedInstance):
+def _wigner_gram(Y: np.ndarray) -> DataOperator:
+    return DataOperator((_lower_product(Y),), math.sqrt(Y.shape[0]))
+
+
+def gram(inst: SpikedInstance) -> DataOperator:
     """The data operator G on an m x p block of rows x: x -> x G.
 
-    G = Y/sqrt(p) (Wigner, read from Y's lower triangle alone by
-    `_lower_product`) or Y^T Y / p (Wishart, as (x Y^T) Y / p).  All m rows
-    share each read of Y.  PCA takes G's leading eigenpairs; `build_lamp`
-    scales and shifts it.
+    G = Y/sqrt(p) (Wigner, one pass, read from Y's lower triangle alone by
+    `_lower_product`) or Y^T Y / p (Wishart, two passes: x -> x Y^T, then
+    t -> t Y, and the division by p).  PCA takes G's leading eigenpairs;
+    `build_lamp` scales and shifts it.
     """
     if isinstance(inst.model, Wigner):
         return _wigner_gram(inst.Y)
-    Y, p = inst.Y, inst.p
-    return lambda x: (x @ Y.T) @ Y / p
+    Y = inst.Y
+    return DataOperator((lambda x: x @ Y.T, lambda t: t @ Y), inst.p)
 
 
 def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
@@ -320,43 +343,68 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
         Q[m] = w / np.linalg.norm(w)
 
 
-def _lamp_side(op: LampOperator, seed: int, tol: float, max_iter: int, truth=None):
-    """LAMP's side of `_lockstep`: A = F^T M F / Delta, out through F, back
-    through `op.reduce`."""
-    return (_lanczos_steps(op.factor_dim(), make_rng(seed), tol, max_iter),
-            op.factor_apply, op.reduce, lambda solved: _lamp_result(op, solved, truth))
+def _lanczos_side(steps, data: DataOperator, out, back, finish):
+    """A `_lanczos_steps` recurrence as a side of `_lockstep`.
 
-
-def _pca_side(inst: SpikedInstance, data, seed: int, tol: float, max_iter: int):
-    """PCA's side of `_lockstep`: A = G, the data operator `data` of `inst`."""
-    return (_lanczos_steps(inst.p, make_rng(seed), tol, max_iter), lambda q: q,
-            lambda x, gx: gx, lambda solved: _pca_result(inst, data, solved))
-
-
-def _lockstep(data, sides) -> list:
-    """Run Lanczos recurrences side by side on one data operator G; their results.
-
-    Each side is (steps, out, back, finish): a `_lanczos_steps` recurrence,
-    the map of its vectors q to rows x of G, the map of (x, x G) to A q,
-    and the map of its (Ritz values, Ritz vectors, steps) to its result.  At
-    every step the sides still running map their vectors into rows of one
-    block x, which goes through one product x G (`gram`), so they all share
-    each read of Y; each then maps its row back and sends it to its
-    recurrence.  A side that stops drops out and the others go on with
-    fewer rows.  A `LanczosNoConvergence` of any side propagates.  With one
-    side this is the lone solve.
+    Its vector q goes in as one row x = out(q), which runs through every
+    pass of `data` in turn; back(x, x G) goes back to the recurrence, and
+    finish maps its (Ritz values, Ritz vectors, steps) to the side's result.
     """
-    vectors = [next(steps) for steps, *_ in sides]
-    solved = [None] * len(sides)
-    while running := [i for i, done in enumerate(solved) if done is None]:
-        x = np.stack([sides[i][1](vectors[i]) for i in running])
-        for i, xi, gxi in zip(running, x, data(x)):
-            steps, _, back, _ = sides[i]
+    q = next(steps)
+    while True:
+        x = out(q)
+        outs = yield (x,)
+        try:
+            q = steps.send(back(x, outs[-1] / data.norm))
+        except StopIteration as stop:
+            return finish(stop.value)
+
+
+def _lamp_side(op: LampOperator, seed: int, tol: float, max_iter: int, truth=None):
+    """LAMP's side: A = F^T M F / Delta, out through F, back through `op.reduce`."""
+    return _lanczos_side(_lanczos_steps(op.factor_dim(), make_rng(seed), tol, max_iter),
+                         op.data, op.factor_apply, op.reduce,
+                         lambda solved: _lamp_result(op, solved, truth))
+
+
+def _pca_side(inst: SpikedInstance, data: DataOperator, seed: int, tol: float,
+              max_iter: int):
+    """PCA's side: A = G, the data operator `data` of `inst`."""
+    return _lanczos_side(_lanczos_steps(inst.p, make_rng(seed), tol, max_iter), data,
+                         lambda q: q, lambda x, gx: gx,
+                         lambda solved: _pca_result(inst, data, solved))
+
+
+def _lockstep(data: DataOperator, sides) -> list:
+    """Run recurrences side by side on the passes of one data operator; their results.
+
+    Each side is a generator.  At every step it yields its rows, one for
+    each pass of `data` or fewer: a side that gives fewer rows puts its
+    output of one pass into the next as its row there.  It is then sent its
+    outputs, one per pass, and its return value is its result.  A Lanczos
+    side (`_lanczos_side`) gives one row and so runs it through all of G; a
+    Wishart AMP side (`amp.wishart_steps`) gives v_hat to the first pass
+    and u_hat to the second, and is sent Y v_hat and Y^T u_hat.  The rows
+    of the sides still running are stacked into one block per pass, so they
+    all share each read of Y.  A side that stops drops out and the others go
+    on with fewer rows.  An exception of any side propagates.  With one side
+    this is the lone solve.
+    """
+    rows = [next(side) for side in sides]
+    results = {}
+    while running := [i for i in range(len(sides)) if i not in results]:
+        outs = [[] for _ in running]
+        for j, product in enumerate(data.passes):
+            x = np.stack([rows[i][j] if j < len(rows[i]) else out[-1]
+                          for i, out in zip(running, outs)])
+            for out, y in zip(outs, product(x)):
+                out.append(y)
+        for i, out in zip(running, outs):
             try:
-                vectors[i] = steps.send(back(xi, gxi))
+                rows[i] = sides[i].send(out)
             except StopIteration as stop:
-                solved[i] = stop.value
-    return [side[3](done) for side, done in zip(sides, solved)]
+                results[i] = stop.value
+    return [results[i] for i in range(len(sides))]
 
 
 @dataclass
@@ -444,22 +492,24 @@ def pca_estimate(inst: SpikedInstance, seed: int = 0,
     return _lockstep(data, [_pca_side(inst, data, seed, tol, _MAX_STEPS)])[0]
 
 
-def solve(inst: SpikedInstance, methods, gm: GenerativeModel | None = None,
+def solve(inst: SpikedInstance, methods=(), gm: GenerativeModel | None = None,
           coeffs: LampCoeffs | None = None, tol: float = 1e-8, lamp_seed: int = 0,
-          pca_seed: int = 0, max_iter: int = _MAX_STEPS) -> dict:
-    """The results of `methods`, any of "lamp" and "pca", on one instance, by name.
+          pca_seed: int = 0, max_iter: int = _MAX_STEPS, sides=None) -> dict:
+    """The results of `methods`, any of "lamp" and "pca", and of `sides`, by name.
 
     One `_lockstep` solve: LAMP (`leading_eigs(build_lamp(inst, gm,
-    coeffs))`) and PCA (`pca_estimate`) share each product with Y.  Each
-    side has its own rng and the same tol and step cap (`max_iter`) as its
-    lone solve, and takes the same steps; the stacked products sum in
-    another order than a lone one, so the results match the lone solves to
-    rounding, not bit for bit.  The two bases are resident together, and on
-    a Wigner Y the two sides share one set of product tiles.
+    coeffs))`), PCA (`pca_estimate`) and the further `sides`, a dict of
+    `_lockstep` sides by name (Wishart AMP, `amp.wishart_steps`), share each
+    pass over Y.  Each Lanczos side has its own rng and the same tol and
+    step cap (`max_iter`) as its lone solve, and takes the same steps; the
+    stacked products sum in another order than a lone one, so the results
+    match the lone solves to rounding, not bit for bit.  The two bases are
+    resident together, and on a Wigner Y the two sides share one set of
+    product tiles.
     """
     op = build_lamp(inst, gm, coeffs) if "lamp" in methods else None
     data = op.data if op else gram(inst)
-    sides = {}
+    sides = dict(sides or {})
     if op:
         sides["lamp"] = _lamp_side(op, lamp_seed, tol, max_iter, inst.v_star)
     if "pca" in methods:

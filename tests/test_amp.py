@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import blas
 
-from spikedgen import amp, state_evolution as se
+from spikedgen import amp, cli, spectral, state_evolution as se
 from spikedgen.priors import (LINEAR, SIGN, Wigner, gauss_prior,
                               generate_spike, make_model, make_rng, sample_u,
                               sample_wigner, sample_wishart)
@@ -262,16 +262,39 @@ def _numpy_products(monkeypatch):
     monkeypatch.setattr(amp, "_symv", lambda Y, x: full_symmetric(Y) @ x)
 
 
+def _scipy_wishart_run(monkeypatch, inst, gm, cfg, seed):
+    """Wishart AMP alone with every product on scipy's dgemv, as its own loop
+    made them before it joined the spectral lockstep: the reference of the
+    numpy path."""
+    monkeypatch.setattr(amp, "_np_gemv", amp._gemv)
+    steps = amp.wishart_steps(inst, gm, cfg=cfg, seed=seed)
+    return amp._drive(steps, lambda v, u: (amp._gemv(inst.Y, v),
+                                           amp._gemv(inst.Y, u, trans=True)))
+
+
+def _pass_products(inst, rows):
+    """Y's products with AMP's rows, as `spectral._lockstep` makes them."""
+    passes = spectral.gram(inst).passes
+    return [product(row[None])[0] for product, row in zip(passes, rows)]
+
+
 def test_blas_products_match_numpy():
+    # Wigner: scipy's dsymv and dgemv against numpy; Wishart: the lockstep's
+    # passes on a block of rows and `_np_gemv` against scipy's dgemv
     gm, inst = _wigner_setup(60, 1.0)
     rng = make_rng(3)
-    x_p, x_k, x_n = (rng.standard_normal(m) for m in (gm.p, gm.k, 90))
-    Y = rng.standard_normal((90, gm.p))
+    x_p, x_k = (rng.standard_normal(m) for m in (gm.p, gm.k))
     pairs = [(amp._symv(inst.Y, x_p), full_symmetric(inst.Y) @ x_p),
              (amp._gemv(gm.W, x_k), gm.W @ x_k),
              (amp._gemv(gm.W, x_p, trans=True), gm.W.T @ x_p),
-             (amp._gemv(Y, x_p), Y @ x_p),
-             (amp._gemv(Y, x_n, trans=True), Y.T @ x_n)]
+             (amp._np_gemv(gm.W, x_k), amp._gemv(gm.W, x_k)),
+             (amp._np_gemv(gm.W, x_p, trans=True), amp._gemv(gm.W, x_p, trans=True))]
+    wish = replace(_wishart_setup(60, 1.0)[1], Y=rng.standard_normal((90, gm.p)))
+    x, t = rng.standard_normal((3, gm.p)), rng.standard_normal((3, 90))
+    first, second = spectral.gram(wish).passes
+    for i in range(3):
+        pairs += [(first(x)[i], amp._gemv(wish.Y, x[i])),
+                  (second(t)[i], amp._gemv(wish.Y, t[i], trans=True))]
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -279,34 +302,99 @@ def test_blas_products_match_numpy():
 @pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
 @pytest.mark.parametrize("model", sorted(SETUPS))
 def test_blas_trace_matches_numpy_path(monkeypatch, model, act):
+    # Wigner: its scipy loop against numpy's products; Wishart: its numpy
+    # path through the lockstep against the scipy loop it replaced
     gm, inst = SETUPS[model](200, 1.0, act=act)
-    run = amp.amp_wigner_run if model == "wigner" else amp.amp_wishart_run
     cfg = amp.AmpConfig(max_iter=30, tol=1e-300)
-    new = run(inst, gm, cfg=cfg, seed=5).overlap_trace
-    _numpy_products(monkeypatch)
-    old = run(inst, gm, cfg=cfg, seed=5).overlap_trace
+    if model == "wigner":
+        new = amp.amp_wigner_run(inst, gm, cfg=cfg, seed=5).overlap_trace
+        _numpy_products(monkeypatch)
+        old = amp.amp_wigner_run(inst, gm, cfg=cfg, seed=5).overlap_trace
+    else:
+        new = amp.amp_wishart_run(inst, gm, cfg=cfg, seed=5).overlap_trace
+        old = _scipy_wishart_run(monkeypatch, inst, gm, cfg, seed=5).overlap_trace
     assert len(new) == len(old) == 31
     assert np.max(np.abs(np.subtract(new, old))) <= 1e-10
 
 
 @pytest.mark.parametrize("model", sorted(SETUPS))
 def test_amp_step_copies_no_matrix(model):
-    # tracemalloc sees numpy's buffers, so also the copy f2py makes when it
-    # is handed a C-ordered matrix (the control: W, 8 p k bytes); a copy of
-    # Y at p = 2000 would be 32 MB
+    # tracemalloc sees numpy's buffers, so also a copy of a matrix that a
+    # product is handed in a layout its BLAS cannot take (the controls:
+    # f2py's copy for scipy's dgemv, np.dot's for numpy; W, 8 p k bytes); a
+    # copy of Y at p = 2000 would be 32 MB.  A Wishart step takes its Y
+    # products from the lockstep's passes.
     gm, inst = SETUPS[model](1000, 1.0)
     state = amp.amp_step(_zero_state(gm, inst, model), inst, gm)
+    rows = (state.v_hat,) if model == "wigner" else (state.v_hat, state.u_hat)
     tracemalloc.start()
     try:
-        amp.amp_step(state, inst, gm)
+        if model == "wigner":
+            amp.amp_step(state, inst, gm)
+        else:
+            amp.amp_step(state, inst, gm, products=_pass_products(inst, rows))
         step_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        blas.dgemv(1.0, gm.W, state.z_hat)   # negative control: W copied
+        if model == "wigner":
+            blas.dgemv(1.0, gm.W, state.z_hat)       # negative control: W copied
+        else:
+            np.dot(gm.W[:, ::-1], state.z_hat)       # negative control: W copied
         copy_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert copy_peak >= 8 * gm.p * gm.k
     assert step_peak <= 16 * 8 * (gm.p + gm.k)   # 384 kB against 32 MB for Y
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("scipy.linalg.blas called")
+
+
+@pytest.mark.parametrize("model", sorted(SETUPS))
+def test_one_blas_library_per_loop(monkeypatch, model):
+    # numpy and scipy link separate OpenBLAS builds whose thread pools slow
+    # each other down when one loop alternates between them: a Wishart run of
+    # AMP, LAMP and PCA makes no scipy.linalg.blas call at all, while Wigner
+    # AMP (the control) makes all of its own products there
+    for name in ("dgemv", "dsymv"):
+        monkeypatch.setattr(blas, name, _refuse)
+    cfg = cli.ExperimentConfig(model=model, activation="linear", alpha=2.0, beta=1.5,
+                               delta=1.0, p=200, methods=["amp", "lamp", "pca"],
+                               amp_max_iter=20, seed=3)
+    if model == "wigner":
+        with pytest.raises(AssertionError, match="scipy.linalg.blas called"):
+            cli.run_single(cfg)
+        return
+    m = cli.run_single(cfg)["metrics"]
+    assert m["amp"]["iters"] == 20 and m["lamp"]["iters"] > 0 and m["pca"]["iters"] > 0
+
+
+@pytest.mark.parametrize("max_iter, tol, first", [(10, 1e-7, "amp"),
+                                                   (400, 1e-300, "lanczos")])
+@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
+def test_wishart_amp_in_lockstep_matches_lone_solves(monkeypatch, act, max_iter, tol,
+                                                     first):
+    # AMP as a side of the LAMP and PCA lockstep: it stops first (10 steps)
+    # or outlasts both Lanczos sides (400 steps), and each side's results
+    # are those of its lone solve to rounding
+    k = 200
+    gm, inst = _wishart_setup(k, 1.0, act=act)
+    coeffs = spectral.lamp_coefficients(act, GAUSS1, inst.model)
+    cfg = amp.AmpConfig(max_iter=max_iter, tol=tol)
+    got = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, lamp_seed=1, pca_seed=2,
+                         sides={"amp": amp.wishart_steps(inst, gm, cfg=cfg, seed=4)})
+    lone = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, lamp_seed=1, pca_seed=2)
+    steps = min(got["lamp"].iters, got["pca"].iters)
+    assert {"amp": max_iter < steps, "lanczos": max_iter > steps}[first]
+    for name in ("lamp", "pca"):
+        assert got[name].iters == lone[name].iters
+        np.testing.assert_allclose(got[name].eigenvalues, lone[name].eigenvalues,
+                                   rtol=1e-12, atol=0)
+    ref = _scipy_wishart_run(monkeypatch, inst, gm, cfg, seed=4)
+    res = got["amp"]
+    assert (res.iters, res.converged) == (ref.iters, ref.converged)
+    assert len(res.overlap_trace) == res.iters + 1
+    assert np.max(np.abs(np.subtract(res.overlap_trace, ref.overlap_trace))) <= 1e-10
 
 
 def test_run_takes_any_memory_order():

@@ -274,6 +274,38 @@ def test_amp_record_carries_nishimori_gap():
     assert abs(m["q_v"]) > 0.5 and m["nishimori_gap"] <= 0.1
 
 
+@pytest.mark.parametrize("act", ["linear", "sign"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wigner_amp_record_is_its_lone_run(act, seed):
+    # Wigner AMP keeps its own loop on scipy's BLAS whatever else is
+    # requested: the same record bytes alone and beside LAMP and PCA, and
+    # the values of a lone amp_wigner_run, so acceptance criterion 3's
+    # floating-point path stays as it is
+    def amp_record(methods):
+        cfg = cli.ExperimentConfig(activation=act, alpha=2.0, delta=0.8, p=300,
+                                   methods=methods, seed=seed)
+        return cfg, json.dumps(cli._jsonable(cli.run_single(cfg)["metrics"]["amp"]))
+
+    cfg, alone = amp_record(["amp"])
+    assert amp_record(["amp", "lamp", "pca"])[1] == alone
+    gm, inst = cli._make_instance(cfg, seed)
+    res = amp.amp_wigner_run(inst, gm, cfg=cfg.amp_config(), seed=cli.splitmix64(seed, 5))
+    m = json.loads(alone)
+    assert m["trace"]["q_v"] == res.overlap_trace and m["iters"] == res.iters
+    assert m["trace"]["mse_v"] == res.mse_trace and m["mse_v"] == res.mse_v
+
+
+def test_duplicate_methods_refused(capsys):
+    # a method named twice would be solved twice, as a second lockstep side;
+    # the single-method commands refuse any list but their own method
+    cfg = cli.ExperimentConfig(alpha=2.0, delta=1.0, p=40, methods=["lamp", "pca", "lamp"])
+    with pytest.raises(cli.UsageError, match="methods: each method at most once"):
+        cli.run_single(cfg)
+    assert run_main(["pca", "--methods", "pca,pca", "--alpha", "2", "--delta", "1",
+                     "--p", "40"]) == 2
+    assert "usage error: methods:" in capsys.readouterr().err
+
+
 _SMALLEST = {
     "lamp_k1": ["lamp", "--k", "1"],
     "lamp_k2": ["lamp", "--k", "2"],

@@ -135,10 +135,11 @@ def _with_spectrum(vals, seed):
 
 def _lone(a, tol, max_iter=1000, data=None):
     """The driver with one side on the dense symmetric `a` (data rows x -> x a)."""
+    data = sp.DataOperator((data or a.__rmatmul__,), 1.0)
     same = lambda v: v
-    side = (sp._lanczos_steps(a.shape[0], make_rng(0), tol, max_iter), same,
-            lambda x, gx: gx, same)
-    return sp._lockstep(data or a.__rmatmul__, [side])[0]
+    side = sp._lanczos_side(sp._lanczos_steps(a.shape[0], make_rng(0), tol, max_iter),
+                            data, same, lambda x, gx: gx, same)
+    return sp._lockstep(data, [side])[0]
 
 
 def _check_top2(a, tol=1e-10):
