@@ -9,24 +9,25 @@ to v) for Wishart, whose state also carries u_hat.  The per-iteration overlap
 v_hat . v* / p is tracked so runs can be compared against state evolution.
 
 The iteration is a recurrence, as `spectral._lanczos_steps` is: before each
-step it yields the rows Y multiplies and is sent their products.  Wigner AMP
-drives it on its own loop.  Wishart AMP is a side of the spectral lockstep
-(`spectral.solve`): v_hat goes into the pass x -> x Y^T and u_hat into the
-pass t -> t Y, so with LAMP and PCA on the same Y it shares each pair of
-passes, whose extra rows cost little once a product is a matrix product.
+step it yields the rows Y multiplies and is sent their products, and both
+AMP runs are sides of the spectral lockstep (`spectral.solve`), which makes
+those products by the passes of `spectral.gram`.  Wigner AMP is a solve of
+its own, with v_hat the one row of the one pass x -> x Y.  Wishart AMP puts
+v_hat into the pass x -> x Y^T and u_hat into the pass t -> t Y, so with
+LAMP and PCA on the same Y it shares each pair of passes.
 
-One BLAS library per hot loop, the library of the loop's Y product.  numpy
-and scipy link two separate OpenBLAS builds, each with its own thread pool
-whose threads spin for a while after a call, so a call into one library
-right after a call into the other runs at about half speed while the idle
-pool still holds the cores.  The Wishart loop is the lockstep, on numpy's
-BLAS, so its products with W are numpy's too.  Wigner AMP makes every
-product through `scipy.linalg.blas`, on the Fortran-ordered `.T` view of the
-C-ordered W and Y, so f2py copies no matrix.  Its pass over Y uses `dsymv`,
-which reads only the lower triangle of Y (row >= column), half the bytes of
-a full pass.  That triangle is all that `sample_wigner` stores; a dense
-symmetric Y built by hand gives the same v_hat bit for bit, and of any
-other Y only that triangle counts.
+Every product of the loop, with Y and with W, is made on scipy's BLAS
+(`spectral.gemv` and `spectral.symv`, on the Fortran-ordered `.T` view of
+the C-ordered matrix, so f2py copies none).  numpy and scipy link two
+separate OpenBLAS builds, each with its own thread pool whose threads spin
+for a while after a call, so a call into one library right after a call
+into the other runs at about half speed while the idle pool still holds
+the cores.  The Wigner pass is `dsymv`, which reads only the lower triangle
+of Y (row >= column), half the bytes of a full pass, one call per row, so
+that a row's product is the same bit for bit whatever it is stacked with.
+That triangle is all that `sample_wigner` stores; a dense symmetric Y built
+by hand gives the same v_hat bit for bit, and of any other Y only that
+triangle counts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import channels as ch
 from . import spectral
@@ -77,9 +77,6 @@ class AmpState:
     c_z: np.ndarray
     v_hat_prev: np.ndarray
     g_prev: np.ndarray
-    A_v: float = 0.0
-    V: float = 0.0
-    Lambda: float = 0.0
     t: int = 1
     u_hat: np.ndarray | None = None
     c_u: np.ndarray | None = None
@@ -117,35 +114,16 @@ def _check_finite(t, **vecs):
             raise AmpDivergenceError(t, name)
 
 
-def _gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
-    """A x, or A^T x, for a C-ordered A, through dgemv on its F-ordered A.T."""
-    return blas.dgemv(1.0, A.T, x, trans=0 if trans else 1)
-
-
-def _np_gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
-    """A x, or A^T x, on numpy's BLAS, the library of Y's passes in `spectral`."""
-    return (A.T if trans else A) @ x
-
-
-def _symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Y x for the symmetric Y whose lower triangle the C-ordered Y holds,
-    through dsymv on the upper triangle of the F-ordered Y.T."""
-    return blas.dsymv(1.0, Y.T, x)
-
-
-def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
-             onsager: bool = True, prior_u: SeparablePrior | None = None,
-             products=None) -> AmpState:
+def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel, products,
+             onsager: bool = True, prior_u: SeparablePrior | None = None) -> AmpState:
     """One sweep of the Bayes-optimal algorithm, for either model.
 
     The spiked layer is bipartite when the state carries u_hat (Wishart; the
     u denoiser is `prior_u`, by default the instance's) and symmetric
-    otherwise.  `products` are Y's products with the state: (Y v_hat,) for
-    Wigner, (Y v_hat, Y^T u_hat) for Wishart; by default they are made here,
-    on the library of the model's loop (scipy's dsymv for Wigner, numpy for
-    Wishart), and so are the products with W.  `onsager=False` drops the
-    memory terms; it exists only as a negative control for the
-    state-evolution tracking tests.
+    otherwise.  `products` are Y's products with the state, made by the
+    passes of `spectral.gram`: (Y v_hat,) for Wigner, (Y v_hat, Y^T u_hat)
+    for Wishart.  `onsager=False` drops the memory terms; it exists only as
+    a negative control for the state-evolution tracking tests.
     """
     p, k = gm.p, gm.k
     delta = inst.delta
@@ -156,15 +134,13 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
 
     eu = cu = None
     if state.u_hat is None:
-        gemv = _gemv
-        (yv,) = products or (_symv(inst.Y, state.v_hat),)
+        (yv,) = products
         b_v = yv / (sp * delta)
         if onsager:
             b_v -= (np.mean(state.c_v) / delta) * state.v_hat_prev
         a_v = float(state.v_hat @ state.v_hat) / (delta * p)
     else:
-        gemv = _np_gemv
-        yv, ytu = products or (inst.Y @ state.v_hat, state.u_hat @ inst.Y)
+        yv, ytu = products
         b_u = yv / (sp * delta)
         b_v = ytu / (sp * delta)
         if onsager:
@@ -175,17 +151,16 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel,
         _, eu, cu = ch.latent_moments(prior_u or inst.model.prior_u, b_u, a_u)
 
     v_cap = max(float(np.mean(state.c_z)), _V_FLOOR)
-    omega = gemv(gm.W, state.z_hat) / sk - v_cap * state.g_prev
+    omega = spectral.gemv(gm.W, state.z_hat) / sk - v_cap * state.g_prev
     _, ev, cv, ex, _ = ch.out_moments(gm.act, b_v, a_v, omega, v_cap)
     g = (ex - omega) / v_cap
     lam = float(g @ g) / k
-    gamma = gemv(gm.W, g, trans=True) / sk + lam * state.z_hat
+    gamma = spectral.gemv(gm.W, g, trans=True) / sk + lam * state.z_hat
 
     _, ez, cz = ch.latent_moments(gm.latent, gamma, lam)
     _check_finite(state.t, v_hat=ev, z_hat=ez, u_hat=eu, g=g)
     return AmpState(v_hat=ev, c_v=cv, z_hat=ez, c_z=cz,
-                    v_hat_prev=state.v_hat, g_prev=g,
-                    A_v=a_v, V=v_cap, Lambda=lam, t=state.t + 1,
+                    v_hat_prev=state.v_hat, g_prev=g, t=state.t + 1,
                     u_hat=eu, c_u=cu, u_hat_prev=state.u_hat)
 
 
@@ -215,6 +190,7 @@ def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     if inst.Y.shape[1] != gm.p:
         raise ValueError("instance and model dimensions differ")
     cfg = cfg or AmpConfig()
+    gm = replace(gm, W=np.ascontiguousarray(gm.W))   # so that no product copies W
     p, k = gm.p, gm.k
     rng = make_rng(seed)
     sig = math.sqrt(cfg.init_sigma2)
@@ -234,8 +210,7 @@ def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     for it in range(1, cfg.max_iter + 1):
         products = yield ((state.v_hat,) if prior_u is None
                           else (state.v_hat, state.u_hat))
-        new = amp_step(state, inst, gm, onsager=onsager, prior_u=prior_u,
-                       products=products)
+        new = amp_step(state, inst, gm, products, onsager=onsager, prior_u=prior_u)
         if cfg.damping > 0:
             new.v_hat = (1 - cfg.damping) * new.v_hat + cfg.damping * state.v_hat
             new.z_hat = (1 - cfg.damping) * new.z_hat + cfg.damping * state.z_hat
@@ -258,27 +233,14 @@ def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
                      u_hat=state.u_hat, overlap_u=overlap_u)
 
 
-def _drive(steps, product) -> AmpResult:
-    """Run an AMP recurrence alone, the products of its rows made by `product`."""
-    rows = next(steps)
-    while True:
-        try:
-            rows = steps.send(product(*rows))
-        except StopIteration as stop:
-            return stop.value
-
-
 def amp_wigner_run(inst: SpikedInstance, gm: GenerativeModel,
                    cfg: AmpConfig | None = None, seed: int = 0,
                    onsager: bool = True, init_v=None, init_z=None) -> AmpResult:
-    """Wigner AMP on its own loop, every product on scipy's BLAS."""
+    """Wigner AMP alone: `spectral.solve` with its side only."""
     if not isinstance(inst.model, Wigner):
         raise ValueError("instance is not a Wigner observation")
-    # C order once per run, so that no iteration copies a matrix into dsymv or dgemv
-    Y = np.ascontiguousarray(inst.Y)
-    steps = _steps(replace(inst, Y=Y), replace(gm, W=np.ascontiguousarray(gm.W)),
-                   cfg, seed, onsager, init_v, init_z)
-    return _drive(steps, lambda v: (_symv(Y, v),))
+    side = _steps(inst, gm, cfg, seed, onsager, init_v, init_z)
+    return spectral.solve(inst, sides={"amp": side})["amp"]
 
 
 def wishart_steps(inst: SpikedInstance, gm: GenerativeModel,

@@ -246,9 +246,8 @@ def _check_fits(cfg: ExperimentConfig, n: int, p: int, k: int) -> int:
 
     The model, from the shapes alone: W, p x k; Y (`priors.observation_bytes`:
     dense n x p for Wishart, the lower triangle for Wigner); the sampler's
-    scratch; for each requested spectral method its largest Lanczos basis;
-    and on a Wigner Y the diagonal tiles of the lower-triangle product, one
-    set that LAMP and PCA share.  All are float64.
+    scratch; and for each requested spectral method its largest Lanczos
+    basis.  All are float64.
     """
     wigner = cfg.model == "wigner"
     parts = {"W": 8 * p * k, "Y": observation_bytes(n, p, wigner),
@@ -262,8 +261,6 @@ def _check_fits(cfg: ExperimentConfig, n: int, p: int, k: int) -> int:
                                                     cfg.model_kind())
             dim = spectral_mod.lamp_factor_dim(coeffs, p, k)
         parts[f"{method} Lanczos basis"] = spectral_mod.lanczos_basis_bytes(dim)
-    if wigner and {"lamp", "pca"} & set(cfg.methods):
-        parts["product tiles"] = spectral_mod.lower_product_bytes(p)
     need = sum(parts.values())
     what = ", ".join(f"{name} {size / 2 ** 30:.3g}" for name, size in parts.items())
     _check_ram("p/k/beta", need, f"the run (n = {n}, p = {p}, k = {k}; in GiB: {what})")
@@ -301,7 +298,7 @@ def _sampled_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
 
     LAMP (rng splitmix64(seed, 6)), PCA (splitmix64(seed, 7)) and, on a
     Wishart Y, AMP (splitmix64(seed, 5)) are one lockstep solve
-    (`spectral.solve`); Wigner AMP runs on its own loop (`amp_wigner_run`).
+    (`spectral.solve`); Wigner AMP is a solve of its own (`amp_wigner_run`).
     A Wishart run denoises u with the instance's prior, cfg.u_prior().
     """
     coeffs = None

@@ -18,9 +18,9 @@ The Wigner sampler stores only Y's lower triangle (row >= column), in an
 anonymous mapping whose strict upper triangle is never written and so never
 becomes resident: about 4 p (p + 1) bytes.  Every scratch buffer of either
 sampler has a fixed number of rows, so `sampler_scratch_bytes` bounds what
-they hold beside Y (see there).  Every Wigner consumer reads that triangle
-alone (AMP through `dsymv`, PCA and LAMP through the lower-panel product of
-`spectral`), so a dense symmetric Y built by hand works as well.  Both Ys
+they hold beside Y (see there).  Every Wigner solve reads that triangle
+alone, AMP, LAMP and PCA alike through the one `dsymv` pass of
+`spectral.gram`, so a dense symmetric Y built by hand works as well.  Both Ys
 are bit-identical to the dense expressions above evaluated on one
 `standard_normal` draw of the whole matrix (the Wigner one as its lower
 triangle).  `prefetch_noise` starts that draw early, so that W and the

@@ -13,27 +13,35 @@ term is proportional to the third moment of P_z, which vanishes for both
 shipped (symmetric) priors, and a >= b >= 0 holds by Cauchy-Schwarz, so the
 preconditioner is PSD: K = F F^T, and `LampOperator` holds it only as F.
 Gamma then shares its nonzero spectrum with the symmetric F^T M F / Delta,
-whose eigenvectors map back through F.
+whose eigenvectors map back through F.  Inputs without that structure are
+rejected at construction: `LampCoeffs` unless a >= b >= 0, and
+`build_cov_lamp` unless Sigma_hat is symmetric PSD.
 
 G has one layout: it takes an m x p block of rows x and returns x G, made
 by row passes over Y (`DataOperator`): one for Wigner, whose Y is read
-through its lower triangle alone (`_lower_product`), the part
-`priors.sample_wigner` stores, and two for Wishart, x -> x Y^T and then
-t -> t Y.  One Lanczos recurrence, `_lanczos_steps`, finds the top two
-eigenpairs for LAMP, covariance-LAMP and PCA: it never restarts, keeps its
-whole basis orthonormal, and stops by ARPACK's rule.  One driver,
-`_lockstep`, runs any number of recurrences on one G a step at a time,
-stacking the rows of those still running into one block per pass, and a
-lone solve is the same loop with one side.  A Lanczos side puts its row
-through every pass; Wishart AMP (`amp.wishart_steps`) is a side too, whose
-v_hat goes into the first pass and u_hat into the second.  So AMP, LAMP and
-PCA on one Wishart Y share each pair of passes.  A row costs little once a
-product is a matrix product: on a 6000 x 4000 Wishart Y and 2 cores,
-(x Y^T) Y takes 9-10, 17-18, 20-22, 22-25 and 24-27 ms for 1, 2, 3, 4 and
-8 rows, and the pass x -> x Y^T alone 4.5-5, 9-10, 11-12, 11-13 and
-12-14 ms (medians of 12, in two sets).
-Inputs without that structure are rejected at construction: `LampCoeffs`
-unless a >= b >= 0, and `build_cov_lamp` unless Sigma_hat is symmetric PSD.
+through its lower triangle alone, the part `priors.sample_wigner` stores,
+and two for Wishart, x -> x Y^T and then t -> t Y.  One Lanczos
+recurrence, `_lanczos_steps`, finds the top two eigenpairs for LAMP,
+covariance-LAMP and PCA: it never restarts, keeps its whole basis
+orthonormal, and stops by ARPACK's rule.  One loop, `_lockstep`, runs any
+number of recurrences on one G a step at a time, stacking the rows of
+those still running into one block per pass, and a lone solve is the same
+loop with one side.  A Lanczos side puts its row through every pass; AMP
+(`amp`) is a side too: Wigner AMP puts v_hat through the one pass, and
+Wishart AMP v_hat into the first pass and u_hat into the second.  So AMP,
+LAMP and PCA on one Wishart Y share each pair of passes.
+
+Every product of the loop is on scipy's BLAS, on the Fortran-ordered `.T`
+view of a C-ordered matrix, so that f2py copies none: the Wishart passes
+over Y, F and F^T, the Lanczos projections and AMP's products with W
+(`gemv`: dgemv for one row, dgemm for a block), and the Wigner pass
+(`symv`: dsymv, one call per row).  One library for all of them, because
+numpy and scipy link two OpenBLAS builds whose idle thread pools slow each
+other's calls down (see `amp`).  On 2 cores a Wishart pass costs less per
+row the more rows it stacks: on a 6000 x 4000 Y, (x Y^T) Y takes 14, 24,
+28, 29 and 33 ms for 1, 2, 3, 4 and 8 rows (medians of 25), within 7% of
+numpy's products on 2 to 4 rows.  A Wigner row costs one dsymv over half
+of Y: at p = 8000, 9-11 ms for one row and 18-22 ms for two.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import blas, eigh_tridiagonal
 
 from .priors import (Activation, GenerativeModel, SeparablePrior,
                      SpikedInstance, Wigner, Wishart, lazy_array, make_rng,
@@ -107,12 +115,12 @@ class LampOperator:
     def factor_apply(self, y: np.ndarray) -> np.ndarray:
         """Rows of F y, for rows y of length `factor_dim()`."""
         if not self.c:
-            return self.w * (y @ self.W.T)
-        return self.c * y[..., :self.p] + self.w * (y[..., self.p:] @ self.W.T)
+            return self.w * gemv(self.W, y)
+        return self.c * y[..., :self.p] + self.w * gemv(self.W, y[..., self.p:])
 
     def factor_rapply(self, x: np.ndarray) -> np.ndarray:
         """Rows of F^T x."""
-        fx = self.w * (x @ self.W)
+        fx = self.w * gemv(self.W, x, trans=True)
         return np.concatenate([self.c * x, fx], axis=-1) if self.c else fx
 
     def reduce(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -124,51 +132,28 @@ class LampOperator:
         return self.factor_apply(self.reduce(x, self.data(x)))
 
 
-# rows per panel of `_lower_product`: on 2 cores at p = 4000, panels of 1024
-# rows made the LAMP matvec as fast as one dense gemv of the full Y, and
-# panels of 512 rows made it 6% slower
-_PANEL = 1024
+def gemv(A: np.ndarray, x: np.ndarray, trans: bool = False) -> np.ndarray:
+    """A x, or A^T x, for a C-ordered A, on scipy's BLAS.
 
-
-def _lower_product(Y: np.ndarray):
-    """x -> x Y for a symmetric Y and an m x p block of rows x, from L = tril(Y).
-
-    x Y = x L + x L^T - x diag(Y), by row panels of `_PANEL` rows: the part of
-    a panel left of its diagonal tile is read twice per product, and each
-    diagonal tile is made symmetric from its lower triangle once, when the
-    product is built (`lower_product_bytes`).  Each panel meets all m rows
-    in one matrix product, so two rows cost well under two vectors: at
-    p = 8000 on 2 cores, 39 ms against 56 ms.  One row costs what one vector
-    product does (3.5 ms against 3.4 ms at p = 4000).  The products are
-    numpy's, like every other product of the Lanczos loop, so the loop stays
-    on one BLAS library.
+    For one vector x, or one row, dgemv; for a block of rows x, dgemm, whose
+    rows are then those of x A^T, or x A.  Both take the F-ordered view A.T,
+    so f2py copies no matrix.  One row on dgemm would cost about 1.7 dgemv
+    (12 ms against 7 on a 6000 x 4000 A, 2 cores).
     """
-    p = Y.shape[0]
-    panels = []
-    for start in range(0, p, _PANEL):
-        band = slice(start, min(start + _PANEL, p))
-        tile = np.tril(Y[band, band])
-        tile += np.tril(tile, -1).T
-        panels.append((band, Y[band, :start], tile))
-
-    def product(x):
-        y = np.empty(x.shape)
-        for band, left, tile in panels:
-            y[:, band] = x[:, :band.start] @ left.T + x[:, band] @ tile
-            y[:, :band.start] += x[:, band] @ left
-        return y
-
-    return product
+    if x.ndim == 2 and len(x) == 1:
+        return gemv(A, x[0], trans)[None]
+    if x.ndim == 1:
+        return blas.dgemv(1.0, A.T, x, trans=0 if trans else 1)
+    return blas.dgemm(1.0, A.T, x.T, trans_a=0 if trans else 1).T
 
 
-def lower_product_bytes(p: int) -> int:
-    """Bytes `_lower_product` allocates for a p x p Y.
-
-    Its diagonal tiles, at most 8 _PANEL p bytes, and the one temporary
-    tile each is built through.
-    """
-    side = min(_PANEL, p)
-    return 8 * side * (p + side)
+def symv(Y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Y x, or the rows of x Y, for the symmetric Y whose lower triangle the
+    C-ordered Y holds: dsymv on the upper triangle of the F-ordered Y.T, one
+    call per row."""
+    if x.ndim == 2:
+        return np.array([symv(Y, row) for row in x])
+    return blas.dsymv(1.0, Y.T, x)
 
 
 @dataclass(frozen=True)
@@ -191,21 +176,22 @@ class DataOperator:
 
 
 def _wigner_gram(Y: np.ndarray) -> DataOperator:
-    return DataOperator((_lower_product(Y),), math.sqrt(Y.shape[0]))
+    Y = np.ascontiguousarray(Y)
+    return DataOperator((lambda x: symv(Y, x),), math.sqrt(Y.shape[0]))
 
 
 def gram(inst: SpikedInstance) -> DataOperator:
     """The data operator G on an m x p block of rows x: x -> x G.
 
     G = Y/sqrt(p) (Wigner, one pass, read from Y's lower triangle alone by
-    `_lower_product`) or Y^T Y / p (Wishart, two passes: x -> x Y^T, then
+    `symv`) or Y^T Y / p (Wishart, two passes: x -> x Y^T, then
     t -> t Y, and the division by p).  PCA takes G's leading eigenpairs;
     `build_lamp` scales and shifts it.
     """
     if isinstance(inst.model, Wigner):
         return _wigner_gram(inst.Y)
-    Y = inst.Y
-    return DataOperator((lambda x: x @ Y.T, lambda t: t @ Y), inst.p)
+    Y = np.ascontiguousarray(inst.Y)
+    return DataOperator((lambda x: gemv(Y, x), lambda t: gemv(Y, t, trans=True)), inst.p)
 
 
 def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
@@ -219,7 +205,8 @@ def build_lamp(inst: SpikedInstance, gm: GenerativeModel,
         if coeffs.d is None:
             raise ValueError("Wishart LAMP needs the d coefficient (rho_u)")
         scale, shift = 1.0 / (a + inst.delta / coeffs.d), coeffs.d * inst.beta
-    return LampOperator(p=gm.p, delta=inst.delta, W=gm.W, w=math.sqrt(b / gm.k),
+    return LampOperator(p=gm.p, delta=inst.delta, W=np.ascontiguousarray(gm.W),
+                        w=math.sqrt(b / gm.k),
                         c=math.sqrt(a - b), data=gram(inst), scale=scale, shift=shift)
 
 
@@ -269,8 +256,8 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
     """Top-2 eigenpairs (largest algebraic) of a symmetric A on R^dim, a step at a time.
 
     A generator: it yields each Lanczos vector q_m, is sent A q_m back, and
-    returns the Ritz values (largest first), the Ritz vectors as the columns
-    of a (dim, 2) array, and the step count.  `_lockstep` drives one or more
+    returns the Ritz values (largest first), the Ritz vectors as the rows of
+    a (2, dim) array, and the step count.  `_lockstep` drives one or more
     of them.
 
     Lanczos from q_1 = v0/|v0|, v0 = rng.standard_normal(dim), never restarted:
@@ -315,8 +302,8 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
         basis = Q[:m]
         for _ in range(2):
             wnorm = np.linalg.norm(w)
-            c = basis @ w
-            w -= basis.T @ c
+            c = gemv(basis, w)
+            w -= gemv(basis, c, trans=True)
             a += c[-1]
             rnorm = np.linalg.norm(w)
             if rnorm >= wnorm / math.sqrt(2.0):
@@ -333,7 +320,7 @@ def _lanczos_steps(dim: int, rng: np.random.Generator, tol: float, max_iter: int
             theta, s = theta[::-1], s[:, ::-1]
             rel = rnorm * np.abs(s[-1]) / np.maximum(_EPS ** (2 / 3), np.abs(theta))
             if invariant or np.all(rel <= tol):
-                return theta, basis.T @ s, m
+                return theta, gemv(basis, s.T, trans=True), m
             if m == cap:
                 raise LanczosNoConvergence(
                     f"top-2 Lanczos did not converge in {cap} steps: worst Ritz "
@@ -434,7 +421,7 @@ def _lamp_result(op: LampOperator, solved, truth) -> SpectralResult:
     come as rows, the residuals through one product with G.
     """
     vals, vecs, iters = solved
-    x = op.factor_apply(vecs.T)
+    x = op.factor_apply(vecs)
     norms = np.linalg.norm(x, axis=1)
     kept = 1 + (norms[1] ** 2 > op.factor_dim() * _EPS * norms[0] ** 2)
     x, vals = x[:kept], vals[:kept]
@@ -449,8 +436,7 @@ def _lamp_result(op: LampOperator, solved, truth) -> SpectralResult:
 def _pca_result(inst: SpikedInstance, data, solved) -> SpectralResult:
     """PCA's record from the Ritz pairs of G (`pca_estimate`), both residuals
     through one product with G."""
-    vals, vecs, iters = solved
-    q = vecs.T
+    vals, q, iters = solved
     res = np.linalg.norm(data(q) - vals[:, None] * q, axis=1)
     if isinstance(inst.model, Wishart):
         vals = np.sqrt(np.clip(vals, 0.0, None))   # singular values of Y/sqrt(p)
@@ -503,9 +489,9 @@ def solve(inst: SpikedInstance, methods=(), gm: GenerativeModel | None = None,
     pass over Y.  Each Lanczos side has its own rng and the same tol and
     step cap (`max_iter`) as its lone solve, and takes the same steps; the
     stacked products sum in another order than a lone one, so the results
-    match the lone solves to rounding, not bit for bit.  The two bases are
-    resident together, and on a Wigner Y the two sides share one set of
-    product tiles.
+    match the lone solves to rounding, not bit for bit (on a Wigner Y,
+    where each row has its own dsymv, they match bit for bit).  The two
+    bases are resident together; the passes hold nothing but their rows.
     """
     op = build_lamp(inst, gm, coeffs) if "lamp" in methods else None
     data = op.data if op else gram(inst)

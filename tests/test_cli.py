@@ -593,22 +593,18 @@ def test_check_fits_models_resident_bytes(monkeypatch, model, n):
     # reaches about one page into the unwritten upper one), the samplers'
     # fixed-row scratch (Wigner: three 128-row buffers, a 512 x 512 spike
     # tile and its mask; Wishart: a 32-row spike tile), and per spectral method
-    # its largest Lanczos basis, and on a Wigner Y the product's 1024-row
-    # diagonal tiles with the one they are built through, one set that LAMP
-    # and PCA share
+    # its largest Lanczos basis; the products themselves hold only rows
     p, k = 3000, 1500
     if model == "wigner":
         base = (8 * p * k + 4 * p * (p + 1) + p * mmap.PAGESIZE
                 + 8 * 3 * 128 * p + 9 * 512 ** 2)
-        tiles = 8 * 1024 * (p + 1024)
     else:
-        base, tiles = 8 * p * k + 8 * n * p + 8 * 32 * p, 0
+        base = 8 * p * k + 8 * n * p + 8 * 32 * p
     cases = [("linear", ["amp"], base),
              # linear: a = b, so the LAMP factor has k columns; PCA's has p
-             ("linear", ["amp", "lamp", "pca"],
-              base + _basis(k) + _basis(p) + tiles),
+             ("linear", ["amp", "lamp", "pca"], base + _basis(k) + _basis(p)),
              # sign: a > b, so the LAMP factor has p + k columns
-             ("sign", ["lamp"], base + _basis(p + k) + tiles)]
+             ("sign", ["lamp"], base + _basis(p + k))]
     for activation, methods, need in cases:
         cfg = cli.ExperimentConfig(model=model, activation=activation, beta=n / p,
                                    methods=methods)

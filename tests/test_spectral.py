@@ -62,17 +62,17 @@ def test_applicator_matches_dense(odd_act):
 
 @pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
 def test_lower_product_reads_only_the_lower_triangle(p):
-    # x Y for blocks of one and of three rows, below, at and across the panel
-    # height, from the lower triangle alone
+    # the Wigner data operator, x -> x Y / sqrt(p), for blocks of one and of
+    # three rows, from the lower triangle alone
     rng = make_rng(p)
     full = _sym(p, p)
     garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
     blocks = rng.standard_normal((1, p)), rng.standard_normal((3, p))
     for Y in (np.tril(full), full, garbage):
-        product = sp._lower_product(Y)
+        data = sp._wigner_gram(Y)
         for rows in blocks:
-            want = rows @ full
-            assert np.max(np.abs(product(rows) - want)) <= 1e-12 * np.max(np.abs(want))
+            want = rows @ full / math.sqrt(p)
+            assert np.max(np.abs(data(rows) - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(full_symmetric(garbage), full)
 
 
@@ -156,7 +156,7 @@ def _check_top2(a, tol=1e-10):
     assert vals[0] >= vals[1]
     np.testing.assert_allclose(vals, want, rtol=1e-10, atol=0)
     for i in range(2):
-        y = vecs[:, i]
+        y = vecs[i]
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(a @ y - vals[i] * y) <= 2 * tol * abs(vals[i])
     again = _lone(a, tol)
@@ -399,7 +399,8 @@ def _pair_instance(model, act, seed, p=300, k=150, delta=0.8):
     ("wishart", "sign", 103, "pca")])
 def test_lamp_and_pca_match_lone_solves(model, act, seed, first):
     # the lockstep pair takes the lone solves' steps, whichever side stops
-    # first, and its results differ from theirs only by rounding
+    # first, and its results differ from theirs only by rounding; on a Wigner
+    # Y, where each row has a dsymv of its own, not at all
     gm, inst, coeffs = _pair_instance(model, {"linear": LINEAR, "sign": SIGN}[act], seed)
     pair = sp.solve(inst, ("lamp", "pca"), gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2)
     lamp, pca = pair["lamp"], pair["pca"]
@@ -412,6 +413,9 @@ def test_lamp_and_pca_match_lone_solves(model, act, seed, first):
         assert pair.iters == lone.iters
         np.testing.assert_allclose(pair.eigenvalues, lone.eigenvalues, rtol=1e-12, atol=0)
         assert abs(pair.overlap_sq - lone.overlap_sq) <= 1e-10
+        if model == "wigner":
+            assert pair.eigenvalues == lone.eigenvalues
+            assert np.array_equal(pair.eigenvector, lone.eigenvector)
 
 
 @pytest.mark.parametrize("model, seed, cap, side", [("wigner", 101, 72, "pca"),
@@ -436,12 +440,17 @@ def test_lamp_and_pca_surface_no_convergence(model, seed, cap, side):
 
 @pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
 def test_lower_product_row_layout(p):
-    # x Y for an m x p block of rows, from the lower triangle alone
+    # x Y for an m x p block of rows, from the lower triangle alone: each row
+    # of the block comes out bit for bit as it does alone, so a Wigner row's
+    # product does not depend on the rows it is stacked with
     rng = make_rng(p + 1)
     full = _sym(p, p)
     garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
     rows = rng.standard_normal((2, p))
     want = rows @ full
     for Y in (np.tril(full), garbage):
-        got = sp._lower_product(Y)(rows)
+        (product,) = sp._wigner_gram(Y).passes
+        got = product(rows)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for i in range(2):
+            assert np.array_equal(product(rows[i:i + 1])[0], got[i])
