@@ -8,13 +8,13 @@ messages through W), and the marginal updates by the scalar denoisers of
 to v) for Wishart, whose state also carries u_hat.  The per-iteration overlap
 v_hat . v* / p is tracked so runs can be compared against state evolution.
 
-The iteration is a recurrence, as `spectral._lanczos_steps` is: before each
-step it yields the rows Y multiplies and is sent their products, and both
-AMP runs are sides of the spectral lockstep (`spectral.solve`), which makes
-those products by the passes of `spectral.gram`.  Wigner AMP is a solve of
-its own, with v_hat the one row of the one pass x -> x Y.  Wishart AMP puts
-v_hat into the pass x -> x Y^T and u_hat into the pass t -> t Y, so with
-LAMP and PCA on the same Y it shares each pair of passes.
+The iteration is a recurrence, `steps`, as `spectral._lanczos_steps` is:
+before each step it yields the rows Y multiplies and is sent their
+products.  It is a side of the spectral lockstep (`spectral.solve`), which
+makes those products by the passes of `spectral.gram`.  On a Wigner Y v_hat
+is the one row of the one pass x -> x Y; on a Wishart Y v_hat goes into the
+pass x -> x Y^T and u_hat into the pass t -> t Y, so with LAMP and PCA on
+the same Y it shares each pair of passes.
 
 Every product of the loop, with Y and with W, is made on scipy's BLAS
 (`spectral.gemv` and `spectral.symv`, on the Fortran-ordered `.T` view of
@@ -122,15 +122,18 @@ def amp_step(state: AmpState, inst: SpikedInstance, gm: GenerativeModel, product
     u denoiser is `prior_u`, by default the instance's) and symmetric
     otherwise.  `products` are Y's products with the state, made by the
     passes of `spectral.gram`: (Y v_hat,) for Wigner, (Y v_hat, Y^T u_hat)
-    for Wishart.  `onsager=False` drops the memory terms; it exists only as
-    a negative control for the state-evolution tracking tests.
+    for Wishart; a non-finite one, as from a NaN in Y, raises
+    `AmpDivergenceError` as a non-finite state does.  `onsager=False` drops
+    the memory terms; it exists only as a negative control for the
+    state-evolution tracking tests.
     """
     p, k = gm.p, gm.k
     delta = inst.delta
     sp = math.sqrt(p)
     sk = math.sqrt(k)
     _check_finite(state.t, **{name: v for name, v in vars(state).items()
-                              if isinstance(v, np.ndarray)})
+                              if isinstance(v, np.ndarray)},
+                  **dict(zip(("Y v_hat", "Y^T u_hat"), products)))
 
     eu = cu = None
     if state.u_hat is None:
@@ -173,17 +176,19 @@ def _trace(state: AmpState, inst: SpikedInstance, gm: GenerativeModel) -> tuple:
             align_and_mse(state.v_hat, inst.v_star)[0])
 
 
-def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
-           seed: int, onsager: bool = True, init_v=None, init_z=None,
-           prior_u: SeparablePrior | None = None):
-    """AMP a step at a time, as `spectral._lanczos_steps` runs Lanczos.
+def steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
+          seed: int, onsager: bool = True, init_v=None, init_z=None,
+          prior_u: SeparablePrior | None = None):
+    """AMP a step at a time, as `spectral._lanczos_steps` runs Lanczos: a side
+    of `spectral.solve`.
 
-    A generator: before each iteration it yields the rows Y multiplies,
-    (v_hat,) for Wigner or (v_hat, u_hat) for Wishart (a `prior_u` makes the
-    run bipartite), and is sent their products, (Y v_hat,) or
-    (Y v_hat, Y^T u_hat).  It inits, iterates with damping until the
-    relative change of v_hat is below tol, collects the traces, and returns
-    the `AmpResult`.
+    A generator: before each iteration it yields the rows Y multiplies and
+    is sent their products.  On a Wigner Y that is v_hat, through the one
+    pass x -> x Y.  On a Wishart Y the run is bipartite: v_hat goes into the
+    pass x -> x Y^T and u_hat into the pass t -> t Y, which Lanczos sides on
+    the same Y share, and u is denoised with `prior_u`, by default the
+    instance's.  It inits, iterates with damping until the relative change
+    of v_hat is below tol, collects the traces, and returns the `AmpResult`.
     """
     if inst.delta <= 0:
         raise ValueError("delta must be positive (A_v would be infinite)")
@@ -199,7 +204,7 @@ def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     z0 = sig * rng.standard_normal(k) if init_z is None else np.asarray(init_z, float)
     state = AmpState(v_hat=v0, c_v=np.ones(p), z_hat=z0, c_z=np.ones(k),
                      v_hat_prev=np.zeros(p), g_prev=np.zeros(p))
-    if prior_u is not None:
+    if isinstance(inst.model, Wishart):
         n = inst.Y.shape[0]
         state.u_hat = sig * rng.standard_normal(n)
         state.c_u, state.u_hat_prev = np.ones(n), np.zeros(n)
@@ -208,7 +213,7 @@ def _steps(inst: SpikedInstance, gm: GenerativeModel, cfg: AmpConfig | None,
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        products = yield ((state.v_hat,) if prior_u is None
+        products = yield ((state.v_hat,) if state.u_hat is None
                           else (state.v_hat, state.u_hat))
         new = amp_step(state, inst, gm, products, onsager=onsager, prior_u=prior_u)
         if cfg.damping > 0:
@@ -239,24 +244,15 @@ def amp_wigner_run(inst: SpikedInstance, gm: GenerativeModel,
     """Wigner AMP alone: `spectral.solve` with its side only."""
     if not isinstance(inst.model, Wigner):
         raise ValueError("instance is not a Wigner observation")
-    side = _steps(inst, gm, cfg, seed, onsager, init_v, init_z)
+    side = steps(inst, gm, cfg, seed, onsager, init_v, init_z)
     return spectral.solve(inst, sides={"amp": side})["amp"]
-
-
-def wishart_steps(inst: SpikedInstance, gm: GenerativeModel,
-                  prior_u: SeparablePrior | None = None,
-                  cfg: AmpConfig | None = None, seed: int = 0):
-    """Wishart AMP as a side of `spectral.solve`: v_hat goes into the pass
-    x -> x Y^T and u_hat into the pass t -> t Y, which Lanczos sides on the
-    same Y share; u is denoised with `prior_u`, by default the instance's."""
-    if not isinstance(inst.model, Wishart):
-        raise ValueError("instance is not a Wishart observation")
-    return _steps(inst, gm, cfg, seed, prior_u=prior_u or inst.model.prior_u)
 
 
 def amp_wishart_run(inst: SpikedInstance, gm: GenerativeModel,
                     prior_u: SeparablePrior | None = None,
                     cfg: AmpConfig | None = None, seed: int = 0) -> AmpResult:
     """Wishart AMP alone: `spectral.solve` with its side only."""
-    side = wishart_steps(inst, gm, prior_u, cfg, seed)
+    if not isinstance(inst.model, Wishart):
+        raise ValueError("instance is not a Wishart observation")
+    side = steps(inst, gm, cfg, seed, prior_u=prior_u)
     return spectral.solve(inst, sides={"amp": side})["amp"]

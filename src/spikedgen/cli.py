@@ -297,9 +297,10 @@ def _sampled_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
     """The requested sampled methods' results, by name.
 
     LAMP (rng splitmix64(seed, 6)), PCA (splitmix64(seed, 7)) and, on a
-    Wishart Y, AMP (splitmix64(seed, 5)) are one lockstep solve
-    (`spectral.solve`); Wigner AMP is a solve of its own (`amp_wigner_run`).
-    A Wishart run denoises u with the instance's prior, cfg.u_prior().
+    Wishart Y, AMP (splitmix64(seed, 5), the side `amp.steps`) are one
+    lockstep solve (`spectral.solve`); Wigner AMP is a solve of its own
+    (`amp_wigner_run`).  A Wishart run denoises u with the instance's prior,
+    cfg.u_prior().
     """
     coeffs = None
     if "lamp" in cfg.methods:
@@ -315,8 +316,7 @@ def _sampled_solves(cfg: ExperimentConfig, gm, inst, seed: int) -> dict:
             results["amp"] = amp_mod.amp_wigner_run(inst, gm, cfg=cfg.amp_config(),
                                                     seed=amp_seed)
         else:
-            sides["amp"] = amp_mod.wishart_steps(inst, gm, cfg=cfg.amp_config(),
-                                                 seed=amp_seed)
+            sides["amp"] = amp_mod.steps(inst, gm, cfg.amp_config(), amp_seed)
     if sides or {"lamp", "pca"} & set(cfg.methods):
         results |= spectral_mod.solve(inst, cfg.methods, gm, coeffs, tol=cfg.eig_tol,
                                       lamp_seed=splitmix64(seed, 6),

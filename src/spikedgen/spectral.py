@@ -27,7 +27,7 @@ orthonormal, and stops by ARPACK's rule.  One loop, `_lockstep`, runs any
 number of recurrences on one G a step at a time, stacking the rows of
 those still running into one block per pass, and a lone solve is the same
 loop with one side.  A Lanczos side puts its row through every pass; AMP
-(`amp`) is a side too: Wigner AMP puts v_hat through the one pass, and
+(`amp.steps`) is a side too: Wigner AMP puts v_hat through the one pass, and
 Wishart AMP v_hat into the first pass and u_hat into the second.  So AMP,
 LAMP and PCA on one Wishart Y share each pair of passes.
 
@@ -369,9 +369,9 @@ def _lockstep(data: DataOperator, sides) -> list:
     each pass of `data` or fewer: a side that gives fewer rows puts its
     output of one pass into the next as its row there.  It is then sent its
     outputs, one per pass, and its return value is its result.  A Lanczos
-    side (`_lanczos_side`) gives one row and so runs it through all of G; a
-    Wishart AMP side (`amp.wishart_steps`) gives v_hat to the first pass
-    and u_hat to the second, and is sent Y v_hat and Y^T u_hat.  The rows
+    side (`_lanczos_side`) gives one row and so runs it through all of G; an
+    AMP side (`amp.steps`) on a Wishart Y gives v_hat to the first pass and
+    u_hat to the second, and is sent Y v_hat and Y^T u_hat.  The rows
     of the sides still running are stacked into one block per pass, so they
     all share each read of Y.  A side that stops drops out and the others go
     on with fewer rows.  An exception of any side propagates.  With one side
@@ -485,13 +485,13 @@ def solve(inst: SpikedInstance, methods=(), gm: GenerativeModel | None = None,
 
     One `_lockstep` solve: LAMP (`leading_eigs(build_lamp(inst, gm,
     coeffs))`), PCA (`pca_estimate`) and the further `sides`, a dict of
-    `_lockstep` sides by name (Wishart AMP, `amp.wishart_steps`), share each
-    pass over Y.  Each Lanczos side has its own rng and the same tol and
-    step cap (`max_iter`) as its lone solve, and takes the same steps; the
-    stacked products sum in another order than a lone one, so the results
-    match the lone solves to rounding, not bit for bit (on a Wigner Y,
-    where each row has its own dsymv, they match bit for bit).  The two
-    bases are resident together; the passes hold nothing but their rows.
+    `_lockstep` sides by name (AMP, `amp.steps`), share each pass over Y.
+    Each Lanczos side has its own rng and the same tol and step cap
+    (`max_iter`) as its lone solve, and takes the same steps; the stacked
+    products sum in another order than a lone one, so the results match the
+    lone solves to rounding, not bit for bit (on a Wigner Y, where each row
+    has its own dsymv, they match bit for bit).  The two bases are resident
+    together; the passes hold nothing but their rows.
     """
     op = build_lamp(inst, gm, coeffs) if "lamp" in methods else None
     data = op.data if op else gram(inst)

@@ -1,13 +1,11 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import blas
 
-from spikedgen import amp, cli, spectral, state_evolution as se
-from spikedgen.priors import (LINEAR, SIGN, Wigner, gauss_prior,
+from spikedgen import amp, spectral, state_evolution as se
+from spikedgen.priors import (LINEAR, SIGN, gauss_prior,
                               generate_spike, make_model, make_rng, sample_u,
                               sample_wigner, sample_wishart)
 from oracles import full_symmetric
@@ -45,6 +43,15 @@ def _zero_state(gm, inst, model):
         n = inst.Y.shape[0]
         state.u_hat, state.c_u, state.u_hat_prev = np.zeros(n), np.ones(n), np.zeros(n)
     return state
+
+
+def _step(state, inst, gm):
+    """`amp.amp_step` on Y's products with AMP's rows, made by the passes of
+    `spectral.gram` as `spectral._lockstep` makes them."""
+    rows = (state.v_hat,) if state.u_hat is None else (state.v_hat, state.u_hat)
+    passes = spectral.gram(inst).passes
+    return amp.amp_step(state, inst, gm, [product(row[None])[0]
+                                          for product, row in zip(passes, rows)])
 
 
 def se_trajectory(q_v0, q_z0, delta, alpha, act, steps):
@@ -252,33 +259,6 @@ def test_divergence_detection(model):
             _step(bad, inst, gm)
 
 
-# ---------------------------------------------------------------------------
-# the BLAS products of a solve
-# ---------------------------------------------------------------------------
-
-def _numpy_gemv(A, x, trans=False):
-    """`spectral.gemv` on numpy's `@`: rows of x A^T, or of x A."""
-    return x @ (A if trans else A.T)
-
-
-def _numpy_products(monkeypatch):
-    """Route every product of a solve through numpy's `@`, the dense Y for Wigner."""
-    monkeypatch.setattr(spectral, "gemv", _numpy_gemv)
-    monkeypatch.setattr(spectral, "symv", lambda Y, x: x @ full_symmetric(Y))
-
-
-def _pass_products(inst, rows):
-    """Y's products with AMP's rows, as `spectral._lockstep` makes them."""
-    passes = spectral.gram(inst).passes
-    return [product(row[None])[0] for product, row in zip(passes, rows)]
-
-
-def _step(state, inst, gm):
-    """`amp.amp_step` on the products of the passes of `spectral.gram`."""
-    rows = (state.v_hat,) if state.u_hat is None else (state.v_hat, state.u_hat)
-    return amp.amp_step(state, inst, gm, _pass_products(inst, rows))
-
-
 def test_blas_products_match_numpy():
     # scipy's dsymv, dgemv and dgemm against numpy, as `spectral.symv` and
     # `spectral.gemv` make them for one vector, one row and a block of rows;
@@ -298,222 +278,3 @@ def test_blas_products_match_numpy():
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
-@pytest.mark.parametrize("model", sorted(SETUPS))
-def test_blas_trace_matches_numpy_path(monkeypatch, model, act):
-    # AMP alone with every product on scipy's BLAS against the same run on
-    # numpy's `@`
-    gm, inst = SETUPS[model](200, 1.0, act=act)
-    cfg = amp.AmpConfig(max_iter=30, tol=1e-300)
-    run = amp.amp_wigner_run if model == "wigner" else amp.amp_wishart_run
-    new = run(inst, gm, cfg=cfg, seed=5).overlap_trace
-    _numpy_products(monkeypatch)
-    old = run(inst, gm, cfg=cfg, seed=5).overlap_trace
-    assert len(new) == len(old) == 31
-    assert np.max(np.abs(np.subtract(new, old))) <= 1e-10
-
-
-def _side(name, p=1000):
-    """A lockstep side on an instance of size p: AMP ("wigner", "wishart"),
-    LAMP, PCA or covariance-LAMP; its data operator, the matrix that a copy
-    would show (W, or the factor of Sigma_hat), and the longest row it makes
-    and the factor dimension (k for AMP) together."""
-    method, _, kind = name.rpartition("-")
-    model = "wishart" if kind == "wishart" else "wigner"
-    gm, inst = SETUPS[model](p // 2, 1.0, act=SIGN if kind == "sign" else LINEAR)
-    longest = max(inst.Y.shape)
-    if not method:
-        cfg = amp.AmpConfig(max_iter=50, tol=1e-300)
-        side = (amp.wishart_steps(inst, gm, cfg=cfg, seed=1) if model == "wishart"
-                else amp._steps(inst, gm, cfg, seed=1))
-        return side, spectral.gram(inst), gm.W, longest + gm.k
-    if method == "pca":
-        data = spectral.gram(inst)
-        return spectral._pca_side(inst, data, 1, 1e-300, 50), data, gm.W, longest
-    if method == "cov":
-        spikes = np.array([generate_spike(gm, seed=10 + i)[1] for i in range(40)])
-        op = spectral.build_cov_lamp(inst.Y, spectral.empirical_covariance(spikes), 1.0)
-    else:
-        op = spectral.build_lamp(inst, gm, spectral.lamp_coefficients(
-            gm.act, GAUSS1, inst.model))
-    side = spectral._lamp_side(op, 1, 1e-300, 50)
-    return side, op.data, op.W, longest + op.factor_dim()
-
-
-@pytest.mark.parametrize("side", ["wigner", "wishart", "lamp-linear", "lamp-sign",
-                                  "pca-wigner", "pca-wishart", "cov-lamp"])
-def test_amp_step_copies_no_matrix(side):
-    # tracemalloc sees numpy's buffers, so also the copy that f2py makes of a
-    # matrix handed to scipy's BLAS in a layout it cannot take (the control:
-    # dgemv on a C-ordered matrix); a copy of Y at p = 1000 is 8 MB.  Four
-    # steps of a side as `_lockstep` drives it: Y's passes and, for AMP on
-    # either model, its products with W; for LAMP those with its factor
-    # (with the identity block for sign, without it for linear and for
-    # covariance-LAMP, whose factor comes from `np.linalg.eigh`) and, for
-    # LAMP and PCA, the Lanczos projections, one step of the four a
-    # convergence check
-    steps, data, F, longest = _side(side)
-    rows = next(steps)
-
-    def step(rows):
-        outs = []
-        for j, product in enumerate(data.passes):
-            outs.append(product(np.stack([rows[j] if j < len(rows) else outs[-1]]))[0])
-        return steps.send(outs)
-
-    for _ in range(4):
-        rows = step(rows)
-    tracemalloc.start()
-    try:
-        for _ in range(4):
-            rows = step(rows)
-        step_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        blas.dgemv(1.0, F, np.ones(F.shape[1]))       # negative control: F copied
-        copy_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert copy_peak >= 8 * F.size
-    assert step_peak <= 16 * 8 * longest   # 320 kB or less against 8 MB for Y
-
-
-def _counting(monkeypatch, name, calls):
-    """Wrap scipy's BLAS routine `name`, recording (name, matrix, rows) per call."""
-    fn = getattr(blas, name)
-
-    def counted(alpha, a, b, *args, **kwargs):
-        rows = b.shape[1] if name == "dgemm" else 1
-        calls.append((name, a, rows))
-        return fn(alpha, a, b, *args, **kwargs)
-
-    monkeypatch.setattr(blas, name, counted)
-
-
-@pytest.mark.parametrize("model", sorted(SETUPS))
-def test_one_blas_library_per_loop(monkeypatch, model):
-    # numpy and scipy link separate OpenBLAS builds whose thread pools slow
-    # each other down when one loop alternates between them, so every
-    # product of a solve with Y or W is on scipy's BLAS: the rows that
-    # dgemv, dgemm and dsymv multiply with Y and W are all that AMP, LAMP
-    # and PCA ask for.  Per step Y meets AMP's row and one row of each
-    # Lanczos side (for Wishart in each of the two passes, only ever through
-    # dgemv and dgemm), W meets AMP's two rows and LAMP's two (F and F^T);
-    # at the end LAMP maps its two Ritz vectors out through F and puts its
-    # kept eigenvectors through all of Gamma, and PCA its two through G.
-    # The linear channel has LAMP's factor without the identity block, sign
-    # with it
-    calls, made = [], []
-    for name in ("dgemv", "dgemm", "dsymv"):
-        _counting(monkeypatch, name, calls)
-    make_instance = cli._make_instance
-
-    def recorded(*args):
-        made.append(make_instance(*args))
-        return made[-1]
-
-    monkeypatch.setattr(cli, "_make_instance", recorded)
-    for act in ("linear", "sign"):
-        calls.clear()
-        cfg = cli.ExperimentConfig(model=model, activation=act, alpha=2.0, beta=1.5,
-                                   delta=1.0, p=200, methods=["amp", "lamp", "pca"],
-                                   amp_max_iter=20, seed=3)
-        m = cli.run_single(cfg)["metrics"]
-        gm, inst = made[-1]
-        kept = sum(e is not None for e in m["lamp"]["eigenvalues"])
-        y_rows = m["amp"]["iters"] + m["lamp"]["iters"] + m["pca"]["iters"] + kept + 2
-        w_rows = 2 * m["amp"]["iters"] + 2 * m["lamp"]["iters"] + 2 + 2 * kept
-        on = {key: [(name, rows) for name, a, rows in calls if np.may_share_memory(a, X)]
-              for key, X in (("Y", inst.Y), ("W", gm.W))}
-        assert m["amp"]["iters"] == 20 and m["lamp"]["iters"] > 0 and m["pca"]["iters"] > 0
-        assert sum(rows for _, rows in on["Y"]) == y_rows * len(spectral.gram(inst).passes)
-        assert sum(rows for _, rows in on["W"]) == w_rows
-        assert {name for name, _ in on["Y"]} == ({"dsymv"} if model == "wigner"
-                                                  else {"dgemv", "dgemm"})
-
-
-@pytest.mark.parametrize("max_iter, tol, first", [(10, 1e-7, "amp"),
-                                                   (400, 1e-300, "lanczos")])
-@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
-def test_wishart_amp_in_lockstep_matches_lone_solves(act, max_iter, tol, first):
-    # AMP as a side of the LAMP and PCA lockstep: it stops first (10 steps)
-    # or outlasts both Lanczos sides (400 steps), and each side's results
-    # are those of its lone solve to rounding
-    k = 200
-    gm, inst = _wishart_setup(k, 1.0, act=act)
-    coeffs = spectral.lamp_coefficients(act, GAUSS1, inst.model)
-    cfg = amp.AmpConfig(max_iter=max_iter, tol=tol)
-    got = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, lamp_seed=1, pca_seed=2,
-                         sides={"amp": amp.wishart_steps(inst, gm, cfg=cfg, seed=4)})
-    lone = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, lamp_seed=1, pca_seed=2)
-    steps = min(got["lamp"].iters, got["pca"].iters)
-    assert {"amp": max_iter < steps, "lanczos": max_iter > steps}[first]
-    for name in ("lamp", "pca"):
-        assert got[name].iters == lone[name].iters
-        np.testing.assert_allclose(got[name].eigenvalues, lone[name].eigenvalues,
-                                   rtol=1e-12, atol=0)
-    ref = amp.amp_wishart_run(inst, gm, cfg=cfg, seed=4)
-    res = got["amp"]
-    assert (res.iters, res.converged) == (ref.iters, ref.converged)
-    assert len(res.overlap_trace) == res.iters + 1
-    assert np.max(np.abs(np.subtract(res.overlap_trace, ref.overlap_trace))) <= 1e-10
-
-
-def test_run_takes_any_memory_order():
-    gm, inst = _wigner_setup(100, 1.0)
-    cfg = amp.AmpConfig(max_iter=10)
-    res = amp.amp_wigner_run(inst, gm, cfg, seed=3)
-    res_f = amp.amp_wigner_run(replace(inst, Y=np.asfortranarray(inst.Y)),
-                               replace(gm, W=np.asfortranarray(gm.W)), cfg, seed=3)
-    assert res_f.overlap_trace == res.overlap_trace
-    assert np.array_equal(res_f.v_hat, res.v_hat)
-
-
-def test_wigner_run_reads_only_the_lower_triangle():
-    # the sampled Y is np.tril of the dense matrix; the dense symmetric Y
-    # gives the same run bit for bit, and so does any upper triangle
-    gm, inst = _wigner_setup(150, 1.2, act=SIGN)
-    full = full_symmetric(inst.Y)
-    noisy_upper = np.tril(inst.Y) + np.triu(make_rng(4).standard_normal(inst.Y.shape), 1)
-    cfg = amp.AmpConfig(max_iter=25, tol=1e-300)
-    runs = [amp.amp_wigner_run(replace(inst, Y=Y), gm, cfg, seed=7)
-            for Y in (inst.Y, full, noisy_upper)]
-    assert np.array_equal(inst.Y, np.tril(full))
-    for res in runs[1:]:
-        assert np.array_equal(res.v_hat, runs[0].v_hat)
-        assert np.array_equal(res.z_hat, runs[0].z_hat)
-        assert res.overlap_trace == runs[0].overlap_trace
-        assert res.self_overlap_trace == runs[0].self_overlap_trace
-        assert res.q_z_trace == runs[0].q_z_trace
-        assert res.mse_trace == runs[0].mse_trace
-
-
-@pytest.mark.parametrize("act", [LINEAR, SIGN], ids=["linear", "sign"])
-def test_wigner_solve_never_reads_the_upper_triangle(act):
-    # AMP, LAMP and PCA in one lockstep on a sampled Y whose strict upper
-    # triangle is NaN: finite, and bit for bit the run on its zero upper
-    # triangle (any product that read an upper entry would spread the NaN)
-    gm, inst = _wigner_setup(150, 1.2, act=act)
-    nan_upper = inst.Y.copy()
-    nan_upper[np.triu_indices(gm.p, 1)] = np.nan
-    coeffs = spectral.lamp_coefficients(act, GAUSS1)
-    cfg = amp.AmpConfig(max_iter=25, tol=1e-300)
-    runs = []
-    for Y in (inst.Y, nan_upper):
-        case = replace(inst, Y=Y)
-        runs.append(spectral.solve(case, ("lamp", "pca"), gm, coeffs, lamp_seed=1,
-                                   pca_seed=2,
-                                   sides={"amp": amp._steps(case, gm, cfg, seed=3)}))
-    zero, nan = runs
-    assert np.count_nonzero(np.triu(inst.Y, 1)) == 0
-    assert np.all(np.isfinite(nan["amp"].v_hat)) and np.all(np.isfinite(nan["amp"].z_hat))
-    assert np.array_equal(nan["amp"].v_hat, zero["amp"].v_hat)
-    assert nan["amp"].overlap_trace == zero["amp"].overlap_trace
-    for name in ("lamp", "pca"):
-        values = nan[name].eigenvalues + nan[name].residuals
-        assert all(math.isfinite(x) for x in values if x is not None)
-        assert np.all(np.isfinite(nan[name].eigenvector))
-        assert values == zero[name].eigenvalues + zero[name].residuals
-        assert np.array_equal(nan[name].eigenvector, zero[name].eigenvector)
-        assert nan[name].iters == zero[name].iters

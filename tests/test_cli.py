@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spikedgen import amp, cli, priors, rmt, serialize as ser, spectral
+from spikedgen import amp, cli, priors, rmt, serialize as ser
 from spikedgen.priors import (LINEAR, Wigner, gauss_prior, generate_spike, make_model,
                               make_rng, sample_u, sample_wigner, sample_wishart)
 from oracles import full_symmetric
@@ -216,34 +216,6 @@ def test_run_single_shares_instance():
     assert rec["build"]
 
 
-def test_spectral_records_carry_matvec_counts():
-    # `iters` is the solver's operator-application count, for PCA as for LAMP.
-    # Requested together they run in lockstep (`spectral.solve`), whose
-    # results the record carries exactly; each agrees with its lone solve in
-    # steps, and to rounding in eigenvalues and overlap
-    for model in ("wigner", "wishart"):
-        cfg = cli.ExperimentConfig(model=model, alpha=2.0, beta=1.5, delta=0.4, k=250,
-                                   methods=["lamp", "pca"], seed=6)
-        m = cli.run_single(cfg)["metrics"]
-        gm, inst = cli._make_instance(cfg, cfg.seed)
-        coeffs = spectral.lamp_coefficients(cfg.act(), cfg.latent_prior(),
-                                            cfg.model_kind())
-        seeds = cli.splitmix64(cfg.seed, 6), cli.splitmix64(cfg.seed, 7)
-        pair = spectral.solve(inst, ("lamp", "pca"), gm, coeffs, tol=cfg.eig_tol,
-                              lamp_seed=seeds[0], pca_seed=seeds[1])
-        lone = (spectral.leading_eigs(spectral.build_lamp(inst, gm, coeffs),
-                                      truth=inst.v_star, tol=cfg.eig_tol, seed=seeds[0]),
-                spectral.pca_estimate(inst, seed=seeds[1], tol=cfg.eig_tol))
-        for name, sr, alone in zip(("lamp", "pca"), pair.values(), lone):
-            assert m[name]["iters"] == sr.iters == alone.iters > 0
-            assert m[name]["eigenvalues"] == list(sr.eigenvalues)
-            assert m[name]["residuals"] == list(sr.residuals)
-            assert m[name]["overlap_sq"] == sr.overlap_sq
-            np.testing.assert_allclose(sr.eigenvalues, alone.eigenvalues, rtol=1e-12,
-                                       atol=0)
-            assert abs(sr.overlap_sq - alone.overlap_sq) <= 1e-10
-
-
 def test_pca_reads_eig_tol(tmp_path, capsys):
     # a config-file eig_tol reaches PCA as it reaches LAMP: each pair meets
     # the tolerance it was given, and the default is eig_tol's 1e-8
@@ -272,27 +244,6 @@ def test_amp_record_carries_nishimori_gap():
     res = amp.amp_wigner_run(inst, gm, cfg=cfg.amp_config(), seed=cli.splitmix64(3, 5))
     assert m["nishimori_gap"] == abs(abs(res.overlap_trace[-1]) - res.self_overlap_trace[-1])
     assert abs(m["q_v"]) > 0.5 and m["nishimori_gap"] <= 0.1
-
-
-@pytest.mark.parametrize("act", ["linear", "sign"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_wigner_amp_record_is_its_lone_run(act, seed):
-    # Wigner AMP keeps its own loop on scipy's BLAS whatever else is
-    # requested: the same record bytes alone and beside LAMP and PCA, and
-    # the values of a lone amp_wigner_run, so acceptance criterion 3's
-    # floating-point path stays as it is
-    def amp_record(methods):
-        cfg = cli.ExperimentConfig(activation=act, alpha=2.0, delta=0.8, p=300,
-                                   methods=methods, seed=seed)
-        return cfg, json.dumps(cli._jsonable(cli.run_single(cfg)["metrics"]["amp"]))
-
-    cfg, alone = amp_record(["amp"])
-    assert amp_record(["amp", "lamp", "pca"])[1] == alone
-    gm, inst = cli._make_instance(cfg, seed)
-    res = amp.amp_wigner_run(inst, gm, cfg=cfg.amp_config(), seed=cli.splitmix64(seed, 5))
-    m = json.loads(alone)
-    assert m["trace"]["q_v"] == res.overlap_trace and m["iters"] == res.iters
-    assert m["trace"]["mse_v"] == res.mse_trace and m["mse_v"] == res.mse_v
 
 
 def test_duplicate_methods_refused(capsys):

@@ -7,7 +7,7 @@ from spikedgen import rmt, spectral as sp, state_evolution as se
 from spikedgen.priors import (LINEAR, RELU, SIGN, Wigner, Wishart,
                               gauss_prior, generate_spike, make_model,
                               make_rng, sample_u, sample_wigner, sample_wishart)
-from oracles import full_symmetric, lamp_dense
+from oracles import lamp_dense
 from rmt_bounds import noise_seeds, overlap_bound
 
 GAUSS1 = gauss_prior(1.0)
@@ -58,22 +58,6 @@ def test_applicator_matches_dense(odd_act):
     dense = lamp_dense(inst, gm.W, coeffs)
     x = make_rng(4).standard_normal((5, gm.p))
     assert np.allclose(op.apply(x), x @ dense.T, atol=1e-10)
-
-
-@pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
-def test_lower_product_reads_only_the_lower_triangle(p):
-    # the Wigner data operator, x -> x Y / sqrt(p), for blocks of one and of
-    # three rows, from the lower triangle alone
-    rng = make_rng(p)
-    full = _sym(p, p)
-    garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
-    blocks = rng.standard_normal((1, p)), rng.standard_normal((3, p))
-    for Y in (np.tril(full), full, garbage):
-        data = sp._wigner_gram(Y)
-        for rows in blocks:
-            want = rows @ full / math.sqrt(p)
-            assert np.max(np.abs(data(rows) - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(full_symmetric(garbage), full)
 
 
 def test_pure_covariance_preconditioner():
@@ -375,82 +359,3 @@ def test_lamp_not_worse_than_pca():
                                               seed=12 + s).overlap_sq)
                 pca_o.append(sp.pca_estimate(inst, seed=12 + s).overlap_sq)
             assert np.mean(lamp_o) >= np.mean(pca_o) - 0.02
-
-
-# ---------------------------------------------------------------------------
-# LAMP and PCA in lockstep
-# ---------------------------------------------------------------------------
-
-def _pair_instance(model, act, seed, p=300, k=150, delta=0.8):
-    """An instance of `model` and its LAMP coefficients (Wishart: beta = 1.5)."""
-    gm = make_model(p, k, act, GAUSS1, seed=3 * seed + 1)
-    z, v = generate_spike(gm, seed=3 * seed + 2)
-    if model == "wigner":
-        return (gm, sample_wigner(v, delta, seed=3 * seed + 3, z_star=z),
-                sp.lamp_coefficients(act, GAUSS1))
-    u = sample_u(GAUSS1, int(1.5 * p), seed=3 * seed + 4)
-    return (gm, sample_wishart(u, v, delta, seed=3 * seed + 3, prior_u=GAUSS1, z_star=z),
-            sp.lamp_coefficients(act, GAUSS1, Wishart(beta=1.5)))
-
-
-@pytest.mark.parametrize("model, act, seed, first", [
-    ("wigner", "linear", 101, "lamp"), ("wigner", "linear", 102, "both"),
-    ("wigner", "sign", 100, "pca"), ("wishart", "linear", 100, "pca"),
-    ("wishart", "sign", 103, "pca")])
-def test_lamp_and_pca_match_lone_solves(model, act, seed, first):
-    # the lockstep pair takes the lone solves' steps, whichever side stops
-    # first, and its results differ from theirs only by rounding; on a Wigner
-    # Y, where each row has a dsymv of its own, not at all
-    gm, inst, coeffs = _pair_instance(model, {"linear": LINEAR, "sign": SIGN}[act], seed)
-    pair = sp.solve(inst, ("lamp", "pca"), gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2)
-    lamp, pca = pair["lamp"], pair["pca"]
-    lone_lamp = sp.leading_eigs(sp.build_lamp(inst, gm, coeffs), truth=inst.v_star,
-                                tol=1e-8, seed=1)
-    lone_pca = sp.pca_estimate(inst, seed=2, tol=1e-8)
-    assert {"lamp": lamp.iters < pca.iters, "pca": pca.iters < lamp.iters,
-            "both": lamp.iters == pca.iters}[first]
-    for pair, lone in ((lamp, lone_lamp), (pca, lone_pca)):
-        assert pair.iters == lone.iters
-        np.testing.assert_allclose(pair.eigenvalues, lone.eigenvalues, rtol=1e-12, atol=0)
-        assert abs(pair.overlap_sq - lone.overlap_sq) <= 1e-10
-        if model == "wigner":
-            assert pair.eigenvalues == lone.eigenvalues
-            assert np.array_equal(pair.eigenvector, lone.eigenvector)
-
-
-@pytest.mark.parametrize("model, seed, cap, side", [("wigner", 101, 72, "pca"),
-                                                    ("wishart", 100, 64, "lamp")])
-def test_lamp_and_pca_surface_no_convergence(model, seed, cap, side):
-    # the side that needs more than `cap` steps raises as its lone solve does,
-    # while the other would have converged within the cap
-    gm, inst, coeffs = _pair_instance(model, LINEAR, seed)
-    message = rf"did not converge in {cap} steps"
-    with pytest.raises(sp.LanczosNoConvergence, match=message):
-        sp.solve(inst, ("lamp", "pca"), gm, coeffs, tol=1e-8, lamp_seed=1, pca_seed=2,
-                 max_iter=cap)
-    op = sp.build_lamp(inst, gm, coeffs)
-    lone = {"lamp": lambda: sp.leading_eigs(op, tol=1e-8, max_iter=cap, seed=1),
-            "pca": lambda: sp.solve(inst, ("pca",), tol=1e-8, pca_seed=2, max_iter=cap)}
-    with pytest.raises(sp.LanczosNoConvergence, match=message):
-        lone[side]()
-    other = "pca" if side == "lamp" else "lamp"
-    lone[other]()
-
-
-
-@pytest.mark.parametrize("p", [1, 1023, 1024, 1025, 2100])
-def test_lower_product_row_layout(p):
-    # x Y for an m x p block of rows, from the lower triangle alone: each row
-    # of the block comes out bit for bit as it does alone, so a Wigner row's
-    # product does not depend on the rows it is stacked with
-    rng = make_rng(p + 1)
-    full = _sym(p, p)
-    garbage = np.tril(full) + np.triu(rng.standard_normal((p, p)), 1)
-    rows = rng.standard_normal((2, p))
-    want = rows @ full
-    for Y in (np.tril(full), garbage):
-        (product,) = sp._wigner_gram(Y).passes
-        got = product(rows)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        for i in range(2):
-            assert np.array_equal(product(rows[i:i + 1])[0], got[i])
